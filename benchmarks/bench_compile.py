@@ -28,7 +28,7 @@ from repro.workloads.registry import get_benchmark
 #: strings, dotstar, ranges) — big enough that compile time dominates
 CORPUS = ("Snort", "TCP", "Dotstar03", "Ranges1", "Bro217")
 SCALE = 1.0 / 32.0
-OPTIONS = PipelineOptions(backend="auto")
+OPTIONS = PipelineOptions()
 
 #: acceptance floor: warm artifact load vs cold pipeline compile
 TARGET_SPEEDUP = 5.0
@@ -138,17 +138,19 @@ def test_warm_load_beats_cold_compile_5x(tmp_path, bench_json):
     assert speedup >= TARGET_SPEEDUP, f"warm speedup only {speedup:.2f}x"
 
 
-def test_artifact_key_covers_backend_options(tmp_path):
-    """Same ruleset, different pipeline options -> different artifacts."""
+def test_artifact_key_is_backend_neutral():
+    """Pipeline options split artifact keys; execution backends do not:
+    every backend builds from the one artifact of a ruleset."""
     automaton = _corpus()[-1]
-    sparse_key = ruleset_fingerprint(
-        automaton, OPTIONS.replace(backend="sparse")
+    key = ruleset_fingerprint(automaton, OPTIONS)
+    assert key != ruleset_fingerprint(
+        automaton, OPTIONS.replace(allow_negation=False)
     )
-    bitp_key = ruleset_fingerprint(
-        automaton, OPTIONS.replace(backend="bitparallel")
-    )
-    assert sparse_key != bitp_key
-    assert sparse_key != ruleset_fingerprint(automaton)
+    assert key != ruleset_fingerprint(automaton)
+    artifact = CompiledArtifact.from_compiled(compile_ruleset(automaton, OPTIONS))
+    assert artifact.key == key
+    for backend in ("sparse", "bitparallel", "native", "auto"):
+        artifact.engine(backend)
 
 
 @pytest.mark.parametrize("name", CORPUS)

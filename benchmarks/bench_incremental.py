@@ -25,7 +25,7 @@ from repro.workloads.registry import get_benchmark
 
 CORPUS_NAME = "Snort"
 SCALE = 1.0 / 32.0
-OPTIONS = PipelineOptions(backend="auto")
+OPTIONS = PipelineOptions()
 
 #: acceptance floor: 1-pattern incremental recompile vs cold compile
 TARGET_SPEEDUP = 5.0

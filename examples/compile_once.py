@@ -38,7 +38,7 @@ def main() -> None:
 
     # 1. The staged pipeline, timed pass by pass.
     start = time.perf_counter()
-    compiled = compile_ruleset(ruleset, backend="auto")
+    compiled = compile_ruleset(ruleset)
     cold = time.perf_counter() - start
     print(f"cold compile: {cold * 1e3:.1f} ms")
     for name, ms, note in compiled.timing_rows():

@@ -27,7 +27,7 @@ def main() -> None:
 
     # 2. The one-call path: compile under typed configs, scan.
     handle = Ruleset.from_regexes(rules, name="quickstart").compile(
-        CompileConfig(backend="auto"),
+        CompileConfig(),
         scan=ScanConfig(chunk_size=16),  # deliberately tiny: streaming
     )
     result = handle.scan(data)

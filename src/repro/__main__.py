@@ -48,11 +48,7 @@ def load_automaton(path: str) -> Automaton:
 
 def compile_config_from_args(args: argparse.Namespace) -> CompileConfig:
     """The ``compile`` subcommand's flags as one validated config."""
-    return CompileConfig(
-        optimize=args.optimize,
-        stride=args.stride,
-        backend=args.backend,
-    )
+    return CompileConfig(optimize=args.optimize, stride=args.stride)
 
 
 def scan_config_from_args(args: argparse.Namespace) -> ScanConfig:
@@ -91,8 +87,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     elif compiled.strided is not None:
         print(
             f"2-strided {compiled.automaton.name}: "
-            f"{len(compiled.automaton)} -> {len(compiled.strided)} states, "
-            f"kernel backend {compiled.kernel.backend_name}"
+            f"{len(compiled.automaton)} -> {len(compiled.strided)} states"
         )
     if args.timings:
         print(
@@ -362,12 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=(1, 2),
         default=1,
         help="temporal stride (2 = one step per symbol pair)",
-    )
-    p_compile.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="auto",
-        help="execution backend for the kernel-prebuild pass",
     )
     p_compile.add_argument(
         "--out",

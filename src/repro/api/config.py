@@ -8,7 +8,7 @@ dataclasses:
 
 :class:`CompileConfig`
     Everything that changes *what gets compiled* (optimize, stride,
-    backend hint, encoding knobs).  It is the same object the staged
+    encoding knobs).  It is the same object the staged
     pipeline has always threaded through its passes —
     :class:`~repro.compile.ir.PipelineOptions` is now an alias — so its
     :meth:`~CompileConfig.digest` keeps feeding
@@ -153,9 +153,6 @@ class CompileConfig:
             2-strided automaton and a :class:`~repro.sim.engine.
             StridedEngine`; the CAMA encoding/mapping passes apply only
             at stride 1.
-        backend: execution-backend *hint* for the kernel-prebuild pass
-            ("sparse" / "bitparallel" / "native" / "auto"), or None to
-            skip kernel prebuild (program-only compilations).
         allow_negation: apply negation optimization per state.
         clustered: apply frequency-first symbol clustering.
         fixed_32bit: bypass selection and use the fixed 32-bit
@@ -164,7 +161,6 @@ class CompileConfig:
 
     optimize: bool = False
     stride: int = 1
-    backend: str | None = "sparse"
     allow_negation: bool = True
     clustered: bool = True
     fixed_32bit: bool = False
@@ -175,17 +171,10 @@ class CompileConfig:
     def validate(self) -> "CompileConfig":
         """Check every field; kept as a method for legacy call sites
         (validation already ran in ``__post_init__``)."""
-        from repro.sim.backends import BACKEND_NAMES
-
         if self.stride not in SUPPORTED_STRIDES:
             raise ConfigError(
                 f"unsupported stride {self.stride}; "
                 f"supported: {SUPPORTED_STRIDES}"
-            )
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r}; "
-                f"known: {', '.join(BACKEND_NAMES)}"
             )
         return self
 
@@ -336,19 +325,6 @@ class ScanConfig:
                 f"ledger_design must be a design name, got "
                 f"{type(self.ledger_design).__name__}"
             )
-
-    # -- backend policy, resolved exactly once ----------------------------
-    @property
-    def engine_backend(self) -> object | None:
-        """The backend to rebuild an adopted artifact's engine with.
-
-        ``"auto"`` resolves to None — *defer to the backend the
-        artifact recorded at compile time* — while a pinned backend
-        passes through.  This is the one place the ``"auto"`` policy is
-        rewritten; every consumer (service artifact registration, the
-        facade) reads it from here instead of re-deriving it.
-        """
-        return None if self.backend == "auto" else self.backend
 
     def replace(self, **changes) -> "ScanConfig":
         return replace(self, **changes)

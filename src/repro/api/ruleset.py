@@ -121,12 +121,10 @@ class Ruleset:
         For an artifact-backed ruleset, an omitted (or matching)
         ``config`` adopts the artifact's prebuilt tables — no compile
         runs; a *different* ``config`` recompiles from the reconstructed
-        automaton.  Otherwise the staged pipeline runs here, eagerly;
-        with no explicit ``config`` the compile backend hint follows
-        the scan backend policy and the compiled engine seeds the
-        handle's service cache, so a first single-shard scan is warm.
-        (With an explicitly *different* compile backend, or sharded
-        scanning, the service compiles its own per-shard engines on
+        automaton.  Otherwise the staged pipeline runs here, eagerly,
+        and its backend-neutral tables seed the handle's service cache
+        with an engine on the scan backend, so a first single-shard
+        scan is warm.  (Sharded scanning compiles per-shard engines on
         first use — the same "when the configuration lines up" seeding
         rule as ``MatchingService.register_artifact``; the eager
         compile still backs ``save()``/``artifact()``.)
@@ -145,8 +143,7 @@ class Ruleset:
                 )
             artifact = None  # recompile under the requested config
         if config is None:
-            backend = scan.backend if isinstance(scan.backend, str) else None
-            config = CompileConfig(backend=backend)
+            config = CompileConfig()
         compiled = compile_ruleset(self.automaton, config)
         return RulesetHandle(
             compiled.automaton, config, scan, compiled=compiled
@@ -180,8 +177,8 @@ class RulesetHandle:
     Holds the compiled product plus a lazily built
     :class:`~repro.service.service.MatchingService` (created on the
     first :meth:`scan` / :meth:`scan_many` / :meth:`stream` and seeded
-    with the compiled engine or adopted artifact where the backend and
-    sharding configuration lines up — see :meth:`Ruleset.compile`).
+    with the compiled tables or adopted artifact where the sharding
+    configuration lines up — see :meth:`Ruleset.compile`).
     Handles are context managers; leaving the ``with`` block releases
     the service's sessions and worker pools.
     """
@@ -229,19 +226,13 @@ class RulesetHandle:
             service = MatchingService(self.scan_config)
             if self._artifact is not None:
                 service.register_artifact(self._artifact)
-            elif (
-                self._compiled is not None
-                and self._compiled.kernel is not None
-                and isinstance(self.scan_config.backend, str)
-                and self.compile_config.backend == self.scan_config.backend
-                and self.compile_config.stride == 1
-            ):
+            elif self._compiled is not None and self.compile_config.stride == 1:
                 # seed the eager compile into the service cache so a
                 # single-shard scan skips recompilation entirely
                 service.manager.seed_engine(
                     self.automaton,
                     self.scan_config.backend,
-                    self._compiled.engine(),
+                    self._compiled.engine(self.scan_config.backend),
                     fingerprint=self.fingerprint,
                 )
             self._service = service

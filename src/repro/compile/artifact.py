@@ -40,7 +40,8 @@ from repro.compile.ir import CompiledRuleset, PipelineOptions
 from repro.errors import ArtifactError, ReproError
 
 #: bumped on any incompatible change to the manifest or array schema
-ARTIFACT_FORMAT_VERSION = 1
+#: (v2: backend-neutral — no recorded backend, no packed successor rows)
+ARTIFACT_FORMAT_VERSION = 2
 
 _START_KINDS = (StartKind.NONE, StartKind.ALL_INPUT, StartKind.START_OF_DATA)
 _START_CODE = {kind: code for code, kind in enumerate(_START_KINDS)}
@@ -104,11 +105,6 @@ class CompiledArtifact:
         return PipelineOptions.from_dict(self.manifest["options"])
 
     @property
-    def backend(self) -> str | None:
-        """Resolved kernel name recorded at compile time."""
-        return self.manifest.get("backend")
-
-    @property
     def num_states(self) -> int:
         return self.manifest["automaton"]["num_states"]
 
@@ -122,7 +118,6 @@ class CompiledArtifact:
             "automaton": meta["name"],
             "states": meta["num_states"],
             "transitions": meta["num_transitions"],
-            "backend": self.backend,
             "options": json.dumps(self.manifest["options"], sort_keys=True),
         }
         program = self.manifest.get("program")
@@ -148,14 +143,9 @@ class CompiledArtifact:
         n = len(automaton)
         from repro.sim.backends.base import KernelTables
 
-        if compiled.kernel is not None and hasattr(
-            compiled.kernel, "export_tables"
-        ):
-            tables = compiled.kernel.export_tables()
-            backend = compiled.kernel.name
-        else:
+        tables = compiled.tables
+        if tables is None:
             tables = KernelTables.from_automaton(automaton)
-            backend = None
 
         arrays: dict[str, np.ndarray] = {
             "state_class_words": _class_words(automaton.states),
@@ -169,17 +159,11 @@ class CompiledArtifact:
             "succ_targets": tables.succ_targets.astype(np.int64),
             "match_words": tables.match_words.astype("<u8"),
         }
-        if tables.succ_words is not None:
-            # packed successor rows from a bit-parallel/native kernel:
-            # optional (older artifacts lack it), lets warm loads skip
-            # the per-state derivation loop entirely
-            arrays["succ_words"] = tables.succ_words.astype("<u8")
         manifest: dict = {
             "format_version": ARTIFACT_FORMAT_VERSION,
             "key": compiled.key,
             "ruleset_fingerprint": ruleset_fingerprint(automaton),
             "options": compiled.options.to_dict(),
-            "backend": backend,
             "automaton": {
                 "name": automaton.name,
                 "num_states": n,
@@ -349,49 +333,18 @@ class CompiledArtifact:
             start_sod=np.nonzero(start == 2)[0].astype(np.int64),
             reporting=self.arrays["state_reporting"].astype(bool),
             report_codes=list(codes),
-            succ_words=(
-                np.ascontiguousarray(
-                    self.arrays["succ_words"], dtype=np.uint64
-                )
-                if "succ_words" in self.arrays
-                else None
-            ),
         )
 
-    def engine(self, backend: str | None = None, **engine_kwargs):
+    def engine(self, backend="auto", **engine_kwargs):
         """A warm :class:`~repro.sim.engine.Engine` for this ruleset.
 
-        ``backend`` overrides the artifact's recorded kernel; ``auto``
-        re-runs the policy against the reconstructed automaton.  Kernel
-        construction uses the prebuilt tables, so no derivation pass
-        (match table, CSR, validation) runs.
+        Any ``backend`` builds from the prebuilt tables, so no
+        derivation pass (match table, CSR, validation) runs.
         """
-        from repro.sim.backends import choose_backend_name
-        from repro.sim.backends.bitparallel import BitParallelKernel
-        from repro.sim.backends.native import dense_backend
-        from repro.sim.backends.sparse import SparseKernel
+        from repro.sim.backends import build_kernel
         from repro.sim.engine import Engine
 
-        automaton = self.automaton()
-        name = backend or self.backend or self.options.backend or "sparse"
-        if name == "auto":
-            name = choose_backend_name(automaton)
-            if name == "bitparallel":
-                # dense family resolves to the compiled loop when this
-                # host can load it (same upgrade AutoBackend applies)
-                name = dense_backend().name
-        tables = self.kernel_tables()
-        if name == "native":
-            # degrades to a plain BitParallelKernel on hosts without
-            # the compiled library — artifacts recorded as "native"
-            # stay loadable anywhere
-            kernel = dense_backend().from_tables(automaton, tables)
-        elif name == "bitparallel":
-            kernel = BitParallelKernel(automaton, tables=tables)
-        elif name == "sparse":
-            kernel = SparseKernel(automaton, tables=tables)
-        else:
-            raise ArtifactError(f"unknown kernel backend {name!r}")
+        kernel = build_kernel(self.automaton(), backend, self.kernel_tables())
         return Engine.from_kernel(kernel, **engine_kwargs)
 
     def program(self):
@@ -548,11 +501,6 @@ class CompiledArtifact:
             or self.arrays["state_reporting"].shape != (n,)
             or self.arrays["succ_offsets"].shape != (n + 1,)
             or self.arrays["match_words"].shape != (256, bitwords.num_words(n))
-            or (
-                "succ_words" in self.arrays
-                and self.arrays["succ_words"].shape
-                != (n, bitwords.num_words(n))
-            )
         ):
             raise ArtifactError("artifact arrays are inconsistent; recompile")
         offsets = self.arrays["succ_offsets"]

@@ -7,8 +7,9 @@ excludes its name and STE display names, so re-loading the same rules
 under a different label still hits every cache.
 
 Compiled *artifacts* additionally depend on how they were compiled:
-stride, backend hint, optimization and encoding knobs all change the
-output, so :func:`ruleset_fingerprint` mixes the
+stride, optimization and encoding knobs all change the output (the
+execution backend does not: artifacts are backend-neutral), so
+:func:`ruleset_fingerprint` mixes the
 :class:`~repro.compile.ir.PipelineOptions` digest into the key when
 options are given.  Fingerprints with different options can therefore
 never alias one artifact (the ``test_fingerprint_covers_options``
@@ -29,8 +30,8 @@ def ruleset_fingerprint(
     """A stable hex digest of the automaton's language-relevant content.
 
     With ``options``, the digest also covers the pipeline-relevant
-    compile options (stride, backend hint, optimization and encoding
-    flags) — use this form to key compiled *artifacts*; the bare form
+    compile options (stride, optimization and encoding flags) — use
+    this form to key compiled *artifacts*; the bare form
     keys the ruleset's *language* (e.g. the in-memory engine LRU, where
     the backend is already part of the cache key tuple).
     """

@@ -139,7 +139,7 @@ class ComposedRuleset:
             ],
         }
 
-    def build_shards(self, num_shards: int, backend=None):
+    def build_shards(self, num_shards: int, backend="auto"):
         """Compose dispatcher-ready ``(shards, engines)`` from the cache.
 
         Components are packed into shard groups by the exact greedy
@@ -147,13 +147,14 @@ class ComposedRuleset:
         shard's automaton and kernel tables are *composed* from the
         cached per-component artifacts — merged states plus a
         block-diagonal :meth:`KernelTables.concat` — so no table is
-        re-derived from scratch.
+        re-derived from scratch.  ``backend`` picks each shard's kernel
+        at build time (``auto`` resolves per shard).
         """
         from repro.service.sharding import Shard
+        from repro.sim.backends import build_kernel
         from repro.sim.backends.base import KernelTables
+        from repro.sim.engine import Engine
 
-        if backend is None:
-            backend = self.options.backend or "sparse"
         groups = balanced_component_groups(
             [c.states for c in self.components], num_shards
         )
@@ -170,40 +171,14 @@ class ComposedRuleset:
                 global_ids.extend(part.states)
                 tables.append(part.artifact.kernel_tables())
                 sizes.append(len(part.states))
-            engine = engine_from_tables(
-                merged, KernelTables.concat(tables, sizes), backend
+            kernel = build_kernel(
+                merged, backend, KernelTables.concat(tables, sizes)
             )
             shards.append(
                 Shard(index=index, automaton=merged, global_ids=global_ids)
             )
-            engines.append(engine)
+            engines.append(Engine.from_kernel(kernel))
         return shards, engines
-
-
-def engine_from_tables(automaton: Automaton, tables, backend: str):
-    """Build an :class:`Engine` from precomputed tables, like
-    :meth:`CompiledArtifact.engine` — same backend dispatch, including
-    the ``auto`` policy's dense-family upgrade."""
-    from repro.sim.backends import choose_backend_name
-    from repro.sim.backends.bitparallel import BitParallelKernel
-    from repro.sim.backends.native import dense_backend
-    from repro.sim.backends.sparse import SparseKernel
-    from repro.sim.engine import Engine
-
-    name = backend or "sparse"
-    if name == "auto":
-        name = choose_backend_name(automaton)
-        if name == "bitparallel":
-            name = dense_backend().name
-    if name == "native":
-        kernel = dense_backend().from_tables(automaton, tables)
-    elif name == "bitparallel":
-        kernel = BitParallelKernel(automaton, tables=tables)
-    elif name == "sparse":
-        kernel = SparseKernel(automaton, tables=tables)
-    else:
-        raise ConfigError(f"unknown execution backend {name!r}")
-    return Engine.from_kernel(kernel)
 
 
 @dataclass

@@ -75,7 +75,7 @@ class PipelineState:
 
     Field population by pass (``-`` = untouched)::
 
-        pass       automaton  optimization  strided  choice+encodings  mapping+encoder  kernel
+        pass       automaton  optimization  strided  choice+encodings  mapping+encoder  tables
         parse      set        -             -        -                 -                -
         optimize   replaced   set           -        -                 -                -
         stride     -          -             set      -                 -                -
@@ -101,9 +101,9 @@ class PipelineState:
     mapping: object = None
     #: the 256x32 input-encoder model (:class:`InputEncoder`)
     encoder: object = None
-    #: prebuilt execution kernel (:class:`CompiledKernel`) or, at
-    #: stride 2, the :class:`StridedEngine`
-    kernel: object = None
+    #: backend-neutral :class:`~repro.sim.backends.base.KernelTables`
+    #: (stride-1 pipelines); any kernel builds from them at scan time
+    tables: object = None
     timings: list[PassTiming] = field(default_factory=list)
 
 
@@ -113,7 +113,7 @@ class CompiledRuleset:
 
     Bundles everything downstream consumers need: the executed
     automaton, the compiled CAMA program (stride-1 pipelines that ran
-    the encode/map passes), the prebuilt execution kernel, and the
+    the encode/map passes), the backend-neutral kernel tables, and the
     per-pass timing trace.  Convert to a shippable on-disk form with
     :meth:`repro.compile.artifact.CompiledArtifact.from_compiled`.
     """
@@ -123,7 +123,7 @@ class CompiledRuleset:
     #: artifact key: language fingerprint + option digest
     key: str
     program: object = None
-    kernel: object = None
+    tables: object = None
     strided: StridedAutomaton | None = None
     optimization: OptimizationReport | None = None
     timings: list[PassTiming] = field(default_factory=list)
@@ -132,28 +132,23 @@ class CompiledRuleset:
     def total_seconds(self) -> float:
         return sum(t.seconds for t in self.timings)
 
-    def engine(self, **engine_kwargs):
-        """Wrap the prebuilt kernel in an :class:`~repro.sim.engine.Engine`.
-
-        At stride 2 the kernel *is* the :class:`StridedEngine` (its
-        construction already fixed the execution strategy), so extra
-        engine kwargs are rejected there.
+    def engine(self, backend="auto", **engine_kwargs):
+        """An :class:`~repro.sim.engine.Engine` on ``backend``, built
+        from the compiled tables (a :class:`StridedEngine` at stride 2).
         """
+        from repro.sim.backends import build_kernel
         from repro.sim.engine import Engine, StridedEngine
 
-        if self.kernel is None:
+        if self.strided is not None:
+            return StridedEngine(self.strided, backend=backend, **engine_kwargs)
+        if self.tables is None:
             raise ReproError(
-                "this ruleset was compiled without a kernel prebuild "
-                "(options.backend=None); recompile with a backend"
+                "this ruleset was compiled without the kernel pass "
+                "(program-only); recompile with the default passes"
             )
-        if isinstance(self.kernel, StridedEngine):
-            if engine_kwargs:
-                raise ReproError(
-                    "a strided kernel is already an engine; "
-                    "per-engine options must be set at compile time"
-                )
-            return self.kernel
-        return Engine.from_kernel(self.kernel, **engine_kwargs)
+        return Engine.from_kernel(
+            build_kernel(self.automaton, backend, self.tables), **engine_kwargs
+        )
 
     def timing_rows(self) -> list[list]:
         """``[pass, ms, note]`` rows for the CLI's timing table."""

@@ -217,32 +217,26 @@ class MappingPass(CompilePass):
 
 
 class KernelPass(CompilePass):
-    """Prebuild the execution kernel for the configured backend hint."""
+    """Derive the backend-neutral kernel tables (CSR + match words).
+
+    No backend is chosen here: every kernel builds from these tables at
+    scan time (:func:`repro.sim.backends.build_kernel`).
+    """
 
     name = "kernel"
     requires = ("automaton",)
-    produces = ("kernel",)
+    produces = ("tables",)
 
     def applies(self, state: PipelineState) -> str | None:
-        if state.options.backend is None:
-            return "options.backend=None (program-only compilation)"
+        if state.options.stride != 1:
+            return "stride-2 kernels are built at scan time"
         return None
 
     def run(self, state: PipelineState) -> dict:
-        from repro.sim.backends import get_backend
-        from repro.sim.engine import StridedEngine
+        from repro.sim.backends.base import KernelTables
 
-        if state.options.stride == 2:
-            if state.strided is None:
-                raise ReproError("stride pass did not run before kernel pass")
-            state.kernel = StridedEngine(
-                state.strided, backend=state.options.backend
-            )
-            return {"backend": state.kernel.backend_name, "strided": True}
-        state.kernel = get_backend(state.options.backend).compile(
-            state.automaton
-        )
-        return {"backend": state.kernel.name}
+        state.tables = KernelTables.from_automaton(state.automaton)
+        return {"transitions": int(state.tables.succ_offsets[-1])}
 
 
 #: the default pass order; Pipeline copies it so callers can extend
@@ -254,3 +248,7 @@ DEFAULT_PASSES: tuple[CompilePass, ...] = (
     MappingPass(),
     KernelPass(),
 )
+
+#: the CAMA-program passes alone (no kernel tables), for program-only
+#: compilations such as :class:`repro.core.compiler.CamaCompiler`
+PROGRAM_PASSES: tuple[CompilePass, ...] = DEFAULT_PASSES[:-1]

@@ -140,7 +140,7 @@ class Pipeline:
             options=state.options,
             key=ruleset_fingerprint(state.automaton, state.options),
             program=program,
-            kernel=state.kernel,
+            tables=state.tables,
             strided=state.strided,
             optimization=state.optimization,
             timings=list(state.timings),
@@ -153,7 +153,7 @@ def compile_ruleset(
     """Compile any ruleset source through the default staged pipeline.
 
     ``options`` (or keyword overrides: ``compile_ruleset(a,
-    backend="auto", optimize=True)``) configure the passes; see
+    stride=2, optimize=True)``) configure the passes; see
     :class:`PipelineOptions`.
     """
     if options is None:

@@ -75,10 +75,10 @@ class CamaCompiler:
 
     Since the staged-pipeline refactor this class is a thin,
     backwards-compatible driver over :func:`repro.compile.pipeline.
-    compile_ruleset` (parse → optimize → stride → encode → map →
-    kernel): it configures the encode/map passes and returns the
+    compile_ruleset`'s program passes (parse → optimize → stride →
+    encode → map): it configures the encode/map passes and returns the
     assembled :class:`CamaProgram`.  Use the pipeline directly for pass
-    timings, kernel prebuilds, or serializable artifacts.
+    timings, kernel tables, or serializable artifacts.
 
     Args:
         allow_negation: apply negation optimization (NO) per state.
@@ -113,16 +113,16 @@ class CamaCompiler:
         return PipelineOptions(
             optimize=False,
             stride=1,
-            backend=None,  # program-only: no kernel prebuild
             allow_negation=self.allow_negation,
             clustered=self.clustered,
             fixed_32bit=self.fixed_32bit,
         )
 
     def compile(self, automaton: Automaton) -> CamaProgram:
-        from repro.compile.pipeline import compile_ruleset
+        from repro.compile.passes import PROGRAM_PASSES
+        from repro.compile.pipeline import Pipeline
 
-        return compile_ruleset(automaton, self.options()).program
+        return Pipeline(PROGRAM_PASSES).run(automaton, self.options()).program
 
 
 def compile_automaton(automaton: Automaton, **kwargs) -> CamaProgram:

@@ -54,7 +54,7 @@ Architecture (bottom-up)::
 Execution is backend-pluggable (:mod:`repro.sim.backends`): the service
 defaults to the ``auto`` policy, which picks the sparse or bit-parallel
 kernel per shard from size and estimated activity; pass
-``MatchingService(backend="sparse")`` (or ``"bitparallel"``) to pin one.
+``ScanConfig(backend="sparse")`` (or ``"bitparallel"``) to pin one.
 
 Configuration is one typed object — :class:`repro.api.ScanConfig` —
 consumed by the service, dispatcher, session, server protocol and CLI

@@ -20,8 +20,8 @@ health     --                                            ``status``, ``uptime_s`
                                                          ``open_sessions``,
                                                          ``inflight``, ``connections``
 register   ``kind`` ("regex"|"mnrl"), ``rules``|``text`` ``handle``, ``states``, ``cached``
-register-  ``data`` (b64 ``.npz`` compiled artifact —    ``handle``, ``states``, ``cached``,
-artifact   see :mod:`repro.compile.artifact`)            ``backend``
+register-  ``data`` (b64 ``.npz`` compiled artifact —    ``handle``, ``states``, ``cached``
+artifact   see :mod:`repro.compile.artifact`)
 scan       ``handle``, ``data`` (b64), ``chunk_size?``,  ``reports``, ``num_reports``,
            ``max_reports?``, ``on_truncation?``,         ``truncated``, ``bytes``,
            ``hardware_ledger?``, ``ledger_design?``,     ``elapsed_s``, ``backends``,

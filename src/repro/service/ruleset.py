@@ -18,6 +18,9 @@ compiled artifacts behind it, at two levels:
 
 Two rulesets that define the same language share one cache entry; the
 same ruleset compiled under different pipeline options never does.
+Artifacts are backend-neutral, so every execution backend of one
+ruleset shares one artifact key; only the in-memory engine entries are
+keyed by backend.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.core.compiler import CamaProgram, compile_automaton
 from repro.core.machine import CamaMachine
 from repro.errors import ConfigError, ReproError
 from repro.sim.backends import ExecutionBackend
+from repro.sim.backends.base import KernelTables
 from repro.sim.engine import Engine
 from repro.telemetry.metrics import default_registry
 
@@ -86,7 +90,8 @@ class RulesetManager:
         store: optional persistent second level — an
             :class:`ArtifactStore` or a directory path to open one in.
         options: base :class:`PipelineOptions` for disk-cache keys and
-            compilation.  ``optimize``/``stride`` are forced to their
+            compilation (the ``options`` attribute holds the forced
+            form).  ``optimize``/``stride`` are forced to their
             service-safe values (no optimization, stride 1): the
             service must execute rulesets exactly as registered, since
             optimization renumbers the state ids reports carry.
@@ -107,7 +112,7 @@ class RulesetManager:
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self.store = store
-        self._options = (options or PipelineOptions()).replace(
+        self.options = (options or PipelineOptions()).replace(
             optimize=False, stride=1
         )
 
@@ -134,60 +139,28 @@ class RulesetManager:
         return value
 
     # -- artifact (second-level) plumbing --------------------------------
-    def artifact_options(
-        self, backend: str | ExecutionBackend | None
-    ) -> PipelineOptions | None:
-        """Disk-cache options for a backend hint, or None when the
-        combination is not disk-cacheable (custom backend instances
-        have no stable digest)."""
-        if backend is not None and not isinstance(backend, str):
-            return None
-        return self._options.replace(backend=backend)
+    def artifact_key(self, automaton: Automaton) -> str:
+        """The one artifact key of ``automaton`` (any backend)."""
+        return ruleset_fingerprint(automaton, self.options)
 
-    def artifact_key(
-        self, automaton: Automaton, backend: str | ExecutionBackend | None
-    ) -> str | None:
-        options = self.artifact_options(backend)
-        if options is None:
-            return None
-        return ruleset_fingerprint(automaton, options)
+    def ensure_artifact(self, automaton: Automaton) -> Path | None:
+        """Guarantee the ruleset's artifact is on disk.
 
-    def artifact_path(
-        self, automaton: Automaton, backend: str | ExecutionBackend | None
-    ) -> Path | None:
-        """Where this (ruleset, backend) artifact lives on disk, when a
-        store is attached and the artifact exists."""
-        if self.store is None:
-            return None
-        key = self.artifact_key(automaton, backend)
-        if key is None or not self.store.contains(key):
-            return None
-        return self.store.path(key)
-
-    def ensure_artifact(
-        self, automaton: Automaton, backend: str | ExecutionBackend
-    ) -> Path | None:
-        """Guarantee the (ruleset, backend) artifact is on disk.
-
-        Returns its path, serializing the already compiled in-memory
-        engine when possible (no recompilation), or None when the
-        manager has no store / the backend is not disk-cacheable.
-        This is what lets the sharded dispatcher ship artifacts to
-        spawn workers instead of pickled engines.
+        Returns its path — serializing freshly derived kernel tables
+        when absent (no pipeline recompile) — or None when the manager
+        has no store.  This is what lets the sharded dispatcher ship
+        artifacts to spawn workers instead of pickled engines.
         """
         if self.store is None:
             return None
-        options = self.artifact_options(backend)
-        if options is None:
-            return None
-        key = ruleset_fingerprint(automaton, options)
-        if self.store.contains(key):
-            return self.store.path(key)
-        engine = self.engine(automaton, backend)  # may itself write it
+        key = self.artifact_key(automaton)
         if self.store.contains(key):
             return self.store.path(key)
         compiled = CompiledRuleset(
-            automaton=automaton, options=options, key=key, kernel=engine.kernel
+            automaton=automaton,
+            options=self.options,
+            key=key,
+            tables=KernelTables.from_automaton(automaton),
         )
         return self.store.put(CompiledArtifact.from_compiled(compiled))
 
@@ -222,26 +195,25 @@ class RulesetManager:
     ) -> Engine:
         """The cached :class:`Engine` for ``automaton`` on ``backend``.
 
-        Distinct backends get distinct cache entries (an ``auto`` entry
-        is keyed as ``auto`` even though it resolves to a concrete
+        Distinct backends get distinct in-memory entries (an ``auto``
+        entry is keyed as ``auto`` even though it resolves to a concrete
         kernel, so re-requesting it never re-runs the policy).  Backend
         *instances* are keyed by identity, not by name — two
         differently parameterized backends that happen to share a name
-        never alias to one compiled engine — and bypass the disk level.
+        never alias to one compiled engine.  The disk level is shared:
+        every backend builds from the ruleset's one artifact.
         """
         # the instance itself (not id()) keys the tuple: the cache entry
         # then pins the backend, so the identity can never be recycled
         key = ("engine", backend, ruleset_fingerprint(automaton))
 
         def build() -> Engine:
-            options = self.artifact_options(backend)
-            if self.store is None or options is None:
+            if self.store is None:
                 return Engine(automaton, backend=backend)
-            artifact_key = ruleset_fingerprint(automaton, options)
-            artifact = self.store.get(artifact_key)
+            artifact = self.store.get(self.artifact_key(automaton))
             if artifact is not None:
                 try:
-                    engine = artifact.engine()
+                    engine = artifact.engine(backend)
                 except ReproError:
                     # loadable but unusable (e.g. table skew validate()
                     # cannot see): a cache miss, never a stuck ruleset
@@ -252,9 +224,9 @@ class RulesetManager:
                     return engine
             self.stats.disk_misses += 1
             _CACHE_EVENTS.labels("disk", "miss").inc()
-            compiled = compile_ruleset(automaton, options)
+            compiled = compile_ruleset(automaton, self.options)
             self.store.put(CompiledArtifact.from_compiled(compiled))
-            return compiled.engine()
+            return compiled.engine(backend)
 
         return self._get(key, build)
 
@@ -263,11 +235,9 @@ class RulesetManager:
         key = ("program", ruleset_fingerprint(automaton))
 
         def build() -> CamaProgram:
-            options = self.artifact_options(None)
             if self.store is None:
                 return compile_automaton(automaton)
-            artifact_key = ruleset_fingerprint(automaton, options)
-            artifact = self.store.get(artifact_key)
+            artifact = self.store.get(self.artifact_key(automaton))
             if artifact is not None and artifact.manifest.get("program"):
                 try:
                     program = artifact.program()
@@ -279,7 +249,7 @@ class RulesetManager:
                     return program
             self.stats.disk_misses += 1
             _CACHE_EVENTS.labels("disk", "miss").inc()
-            compiled = compile_ruleset(automaton, options)
+            compiled = compile_ruleset(automaton, self.options)
             self.store.put(CompiledArtifact.from_compiled(compiled))
             return compiled.program
 

@@ -690,14 +690,9 @@ class MatchingServer:
             raise ProtocolError(str(exc), code="bad-artifact") from exc
         cached = self._remember_ruleset(handle, automaton)
         # build the sharded dispatcher now (hits the seeded engine when
-        # the shard/backend shape lines up), so scans stay warm
+        # the shard shape lines up), so scans stay warm
         self.service.dispatcher(automaton, key=handle)
-        return {
-            "handle": handle,
-            "states": len(automaton),
-            "cached": cached,
-            "backend": artifact.backend,
-        }
+        return {"handle": handle, "states": len(automaton), "cached": cached}
 
     def _op_update(self, conn: _Connection, frame: dict) -> dict:
         """Hot-swap a registered ruleset to a new version, zero downtime.

@@ -81,7 +81,7 @@ class RulesetVersion:
     fingerprint: str
     automaton: Automaton
     #: component artifact keys pinned in the store while this version
-    #: is live (empty when the incremental path was unavailable)
+    #: is live
     component_keys: tuple[str, ...] = ()
     reused_components: int = 0
     compiled_components: int = 0
@@ -102,7 +102,7 @@ class ServiceResult:
     num_shards: int
     #: True when the compiled shard engines were already resident
     cached: bool
-    #: resolved kernel name per shard ("sparse" / "bitparallel")
+    #: resolved kernel name per shard ("native" / "sparse" / ...)
     backends: list[str] = field(default_factory=list)
     #: True when the kept-reports cap truncated recording
     truncated: bool = False
@@ -218,13 +218,10 @@ class MatchingService:
         self._version_by_fp: dict[str, RulesetVersion] = {}
         self._session_versions: dict[str, RulesetVersion] = {}
         # the incremental compiler shares the manager's store and forced
-        # options; None when the backend is an ExecutionBackend instance
-        # (no stable artifact key exists for those)
-        options = self.manager.artifact_options(self.config.backend)
-        self._incremental = (
-            IncrementalCompiler(store=self.manager.store, options=options)
-            if options is not None
-            else None
+        # options (artifacts are backend-neutral, so every backend —
+        # instances included — composes from the same components)
+        self._incremental = IncrementalCompiler(
+            store=self.manager.store, options=self.manager.options
         )
         self.closed = False
 
@@ -358,9 +355,10 @@ class MatchingService:
 
         ``artifact`` may be a :class:`~repro.compile.artifact.
         CompiledArtifact`, its raw bytes, or a path to one.  The
-        reconstructed automaton is the ruleset; its prebuilt engine is
-        seeded into the compiled-ruleset cache (so the first scan skips
-        compilation when the sharding/backend configuration lines up),
+        reconstructed automaton is the ruleset; an engine built from its
+        tables on the configured backend is seeded into the
+        compiled-ruleset cache (so the first scan skips compilation when
+        the sharding configuration lines up),
         and the artifact is persisted to the service's store when one
         is attached.  The handle is the ruleset fingerprint — the same
         handle a source-level registration of the same rules yields.
@@ -388,15 +386,12 @@ class MatchingService:
                 raise SimulationError("the matching service is closed")
         if self.manager.store is not None:
             self.manager.store.put(artifact)
-        if isinstance(self.backend, str):
-            # the "auto" -> "defer to the artifact's recorded kernel"
-            # rewrite is resolved once, inside ScanConfig
-            self.manager.seed_engine(
-                automaton,
-                self.backend,
-                artifact.engine(backend=self.config.engine_backend),
-                fingerprint=handle,
-            )
+        self.manager.seed_engine(
+            automaton,
+            self.backend,
+            artifact.engine(self.backend),
+            fingerprint=handle,
+        )
         return handle, automaton
 
     # -- versioned live rulesets ------------------------------------------
@@ -406,11 +401,10 @@ class MatchingService:
         """Register ``automaton`` as version 1 of a live lineage.
 
         Idempotent: re-registering a fingerprint already tracked returns
-        its existing record.  When the incremental path is available
-        (string backend), the dispatcher is *composed* from per-component
-        artifacts — written to the store and pinned against eviction —
-        so a later :meth:`update_ruleset` reuses every untouched
-        component.
+        its existing record.  The dispatcher is *composed* from
+        per-component artifacts — written to the store and pinned
+        against eviction — so a later :meth:`update_ruleset` reuses every
+        untouched component.
         """
         if key is None:
             key = self.manager.fingerprint(automaton)
@@ -519,23 +513,19 @@ class MatchingService:
         version: int,
         fingerprint: str,
         automaton: Automaton,
-        composed: ComposedRuleset | None,
+        composed: ComposedRuleset,
     ) -> RulesetVersion:
         return RulesetVersion(
             lineage=lineage,
             version=version,
             fingerprint=fingerprint,
             automaton=automaton,
-            component_keys=composed.component_keys if composed else (),
-            reused_components=composed.reused_components if composed else 0,
-            compiled_components=composed.compiled_components if composed else 0,
+            component_keys=composed.component_keys,
+            reused_components=composed.reused_components,
+            compiled_components=composed.compiled_components,
         )
 
-    def _compile_incremental(
-        self, automaton: Automaton
-    ) -> ComposedRuleset | None:
-        if self._incremental is None:
-            return None
+    def _compile_incremental(self, automaton: Automaton) -> ComposedRuleset:
         with self._compile_lock:
             return self._incremental.compile(
                 automaton,
@@ -547,12 +537,10 @@ class MatchingService:
         self,
         automaton: Automaton,
         key: str,
-        composed: ComposedRuleset | None,
+        composed: ComposedRuleset,
     ) -> Dispatcher:
-        """The dispatcher for ``key`` — composed from cached component
-        artifacts when possible, classic compile otherwise."""
-        if composed is None:
-            return self.dispatcher(automaton, key=key)
+        """The dispatcher for ``key``, composed from cached component
+        artifacts."""
         cached = self._cached_dispatcher(key)
         if cached is not None:
             return cached
@@ -909,7 +897,7 @@ class MatchingService:
         if want_ledger:
             probe = self._ledger_probe(automaton, key, design)
         with self._lock:
-            if name in self.sessions and not self.sessions[name].closed:
+            if name in self.sessions:
                 raise SimulationError(f"session {name!r} is already open")
             session = Session(
                 name,
@@ -927,6 +915,7 @@ class MatchingService:
                 record.sessions += 1
                 self._session_versions[name] = record
                 session.ruleset_version = record.version
+            session.on_close = self._release_session
             self.sessions[name] = session
             _SESSIONS_OPEN.labels().inc()
             return session
@@ -934,19 +923,26 @@ class MatchingService:
     def close_session(self, name: str):
         """Close a session and return its accumulated result."""
         with self._lock:
-            try:
-                session = self.sessions.pop(name)
-            except KeyError:
-                raise SimulationError(f"no such session: {name!r}") from None
-            record = self._session_versions.pop(name, None)
+            session = self.sessions.get(name)
+        if session is None:
+            raise SimulationError(f"no such session: {name!r}")
+        return session.close()
+
+    def _release_session(self, session: Session) -> None:
+        """A session's close bookkeeping, run once however it closed:
+        drop it from the table, fold its ledger, and retire a drained
+        ruleset version."""
+        with self._lock:
+            if self.sessions.get(session.name) is not session:
+                return  # already released (or torn down with the service)
+            del self.sessions[session.name]
+            record = self._session_versions.pop(session.name, None)
             if record is not None:
                 record.sessions -= 1
         _SESSIONS_OPEN.labels().dec()
         self._fold_ledger(session.ledger())
-        result = session.close()
         if record is not None:
             self._retire_if_idle(record)
-        return result
 
     def close(self) -> None:
         """Tear the service down: sessions, dispatchers, worker pools.
@@ -972,8 +968,7 @@ class MatchingService:
             self._session_versions.clear()
         for session in sessions:
             _SESSIONS_OPEN.labels().dec()
-            if not session.closed:
-                session.close()
+            session.close()
         for dispatcher in dispatchers:
             dispatcher.close()
         for record in records:

@@ -80,6 +80,10 @@ class Session:
         #: MatchingService when the ruleset is version-tracked); the
         #: session keeps these engines through any later hot-swap
         self.ruleset_version: int | None = None
+        #: called once with this session when it closes (set by the
+        #: owning MatchingService, so both ``close()`` and
+        #: ``close_session(name)`` release its bookkeeping)
+        self.on_close = None
         self._states = dispatcher.initial_states()
         self._reports: list[Report] = []
         self._stats = TraceStats(
@@ -223,7 +227,10 @@ class Session:
 
     def close(self) -> SimulationResult:
         """Finish the stream and return the accumulated result."""
-        self.closed = True
+        if not self.closed:
+            self.closed = True
+            if self.on_close is not None:
+                self.on_close(self)
         return SimulationResult(
             reports=self._reports, stats=self._stats, truncated=self.truncated
         )
@@ -232,5 +239,4 @@ class Session:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not self.closed:
-            self.close()
+        self.close()

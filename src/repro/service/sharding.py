@@ -151,20 +151,20 @@ def _init_worker(engines: list[Engine]) -> None:
     _WORKER_ENGINES = engines
 
 
-def _init_worker_artifacts(blobs: list[bytes]) -> None:
+def _init_worker_artifacts(blobs: list[bytes], backend) -> None:
     # Spawn path with an artifact store: the parent ships the
     # per-shard serialized artifacts; each worker reconstructs its
     # engines from the tables — no engine pickling, and the same bytes
     # any other process (or machine sharing the store) would load.
     # Bytes, not paths: the store's LRU may evict a file between pool
     # creation and worker start, and a vanished path would wedge the
-    # pool.  The artifact records the resolved kernel, so the worker
-    # runs exactly the backend the parent compiled.
+    # pool.  Artifacts are backend-neutral: the worker builds each
+    # shard's kernel on the dispatcher's configured backend.
     from repro.compile.artifact import CompiledArtifact
 
     global _WORKER_ENGINES
     _WORKER_ENGINES = [
-        CompiledArtifact.from_bytes(blob).engine() for blob in blobs
+        CompiledArtifact.from_bytes(blob).engine(backend) for blob in blobs
     ]
 
 
@@ -448,7 +448,8 @@ class Dispatcher:
                 if ctx.get_start_method() != "fork":
                     blobs = self._shard_artifact_blobs()
                     if blobs is not None:
-                        initializer, initargs = _init_worker_artifacts, (blobs,)
+                        initializer = _init_worker_artifacts
+                        initargs = (blobs, self.backend)
                 if initializer is None:
                     # fork (engines ship as copy-on-write pages) or no
                     # shippable artifacts; only now force the parent
@@ -464,14 +465,14 @@ class Dispatcher:
 
     def _shard_artifact_blobs(self) -> list[bytes] | None:
         """Per-shard serialized artifacts for worker shipping, or None
-        when unavailable (no manager/store, a non-serializable backend,
-        or a store whose LRU evicted a shard mid-collection — e.g. a
-        byte budget smaller than the combined shard artifacts)."""
+        when unavailable (no manager/store, or a store whose LRU evicted
+        a shard mid-collection — e.g. a byte budget smaller than the
+        combined shard artifacts)."""
         if self._manager is None:
             return None
         blobs = []
         for shard in self.shards:
-            path = self._manager.ensure_artifact(shard.automaton, self.backend)
+            path = self._manager.ensure_artifact(shard.automaton)
             if path is None:
                 return None
             try:

@@ -29,16 +29,17 @@ Shipped backends:
     Picks per automaton (per *shard*, under the dispatcher) from the
     state count and the estimated or measured active fraction; dense
     choices resolve to ``native`` whenever the compiled loop loads.
+
+The backend is a *scan-time* choice only: compilation and artifacts
+carry backend-neutral :class:`KernelTables`, and :func:`build_kernel`
+is the one place a backend choice (plus optional prebuilt tables)
+becomes a kernel.
 """
 
 from __future__ import annotations
 
+from repro.automata.analysis import estimate_active_fraction
 from repro.errors import SimulationError
-from repro.sim.backends.auto import (
-    DENSE_ACTIVITY_THRESHOLD,
-    AutoBackend,
-    choose_backend_name,
-)
 from repro.sim.backends.base import (
     DEFAULT_MAX_KEPT_REPORTS,
     STATE_FORMAT_VERSION,
@@ -68,6 +69,63 @@ from repro.sim.backends.native import (
     native_available,
 )
 from repro.sim.backends.sparse import SparseBackend, SparseKernel
+from repro.telemetry.metrics import default_registry
+
+_AUTO_CHOICES = default_registry().counter(
+    "repro_backend_auto_choices_total",
+    "Resolutions of the auto backend policy, by chosen kernel",
+    ("choice",),
+)
+
+
+#: expected active fraction above which the packed kernel wins; the
+#: measured crossover sits near 2% (``test_backend_crossover`` in
+#: ``benchmarks/bench_core_micro.py``) and borderline automata keep the
+#: sparse kernel
+DENSE_ACTIVITY_THRESHOLD = 0.05
+
+
+def choose_backend_name(
+    automaton,
+    *,
+    active_fraction: float | None = None,
+) -> str:
+    """Resolve the ``auto`` policy to the kernel family ``"sparse"`` or
+    ``"bitparallel"``.
+
+    Automata above the packed successor matrix budget stay sparse; the
+    rest take the packed family when their expected per-cycle active
+    fraction — :func:`~repro.automata.analysis.estimate_active_fraction`,
+    or ``active_fraction`` measured by a probe run — reaches
+    :data:`DENSE_ACTIVITY_THRESHOLD`.  :func:`build_kernel` runs the
+    packed family through the compiled loop whenever it loads.
+    """
+    if len(automaton) > MAX_BITPARALLEL_STATES:
+        choice = "sparse"
+    else:
+        if active_fraction is None:
+            active_fraction = estimate_active_fraction(automaton)
+        choice = (
+            "bitparallel"
+            if active_fraction >= DENSE_ACTIVITY_THRESHOLD
+            else "sparse"
+        )
+    _AUTO_CHOICES.labels(choice).inc()
+    return choice
+
+
+class AutoBackend:
+    """Backend that resolves :func:`choose_backend_name` per automaton.
+
+    The compiled kernel's ``name`` records the resolved choice, so
+    callers (and tests) can observe which kernel an automaton got.
+    """
+
+    name = "auto"
+
+    def compile(self, automaton) -> CompiledKernel:
+        return build_kernel(automaton, "auto")
+
 
 #: the selectable backends, by registry name
 BACKENDS: dict[str, ExecutionBackend] = {
@@ -99,6 +157,30 @@ def get_backend(backend: str | ExecutionBackend) -> ExecutionBackend:
     )
 
 
+def build_kernel(
+    automaton,
+    backend: str | ExecutionBackend = "auto",
+    tables: KernelTables | None = None,
+) -> CompiledKernel:
+    """The one place a backend choice becomes a kernel.
+
+    ``backend`` is a registry name (``"auto"`` resolved here, per
+    automaton) or an :class:`ExecutionBackend` instance; ``tables`` are
+    prebuilt :class:`KernelTables` (a loaded artifact, a composed
+    incremental shard) the kernel adopts instead of deriving its own.
+    An instance without ``from_tables`` compiles from the automaton.
+    """
+    if backend == "auto":
+        backend = choose_backend_name(automaton)
+        if backend == "bitparallel" and native_available():
+            backend = "native"
+    backend = get_backend(backend)
+    from_tables = getattr(backend, "from_tables", None)
+    if tables is None or from_tables is None:
+        return backend.compile(automaton)
+    return from_tables(automaton, tables)
+
+
 __all__ = [
     "AutoBackend",
     "BACKENDS",
@@ -106,8 +188,8 @@ __all__ = [
     "BitParallelBackend",
     "BitParallelKernel",
     "CompiledKernel",
-    "DEFAULT_MAX_KEPT_REPORTS",
     "DENSE_ACTIVITY_THRESHOLD",
+    "DEFAULT_MAX_KEPT_REPORTS",
     "EngineState",
     "ExecutionBackend",
     "KernelTables",
@@ -120,6 +202,7 @@ __all__ = [
     "SparseBackend",
     "SparseKernel",
     "StepResult",
+    "build_kernel",
     "cached_successor_csr",
     "choose_backend_name",
     "clear_csr_cache",

@@ -433,11 +433,6 @@ class KernelTables:
     reporting: np.ndarray
     #: per-state report codes (None for non-reporting states)
     report_codes: list
-    #: optional packed per-state successor rows, shape (n, num_words(n))
-    #: — exported by the packed-bitmap kernels so artifact warm loads
-    #: skip the per-state Python derivation loop; None when the
-    #: producing kernel never built them (e.g. sparse)
-    succ_words: "np.ndarray | None" = None
 
     @classmethod
     def from_automaton(cls, automaton) -> "KernelTables":
@@ -478,10 +473,7 @@ class KernelTables:
         anything from the merged automaton.
 
         ``sizes`` gives each block's state count (the packed-word arrays
-        alone do not reveal it).  ``succ_words`` is carried over only
-        when every block has it; a single sparse-produced block degrades
-        the merged tables to CSR-only, which every kernel can rebuild
-        from.
+        alone do not reveal it).
         """
         from repro.sim.backends import bitwords
 
@@ -498,10 +490,6 @@ class KernelTables:
         start_sod_parts: list[np.ndarray] = []
         reporting = np.zeros(n, dtype=bool)
         report_codes: list = []
-        have_succ_words = all(t.succ_words is not None for t in tables)
-        succ_bool = (
-            np.zeros((n, words * 64), dtype=np.uint8) if have_succ_words else None
-        )
         pos = 0
         nnz = 0
         for block, size in zip(tables, sizes):
@@ -513,11 +501,6 @@ class KernelTables:
             start_sod_parts.append(block.start_sod.astype(np.int64) + pos)
             reporting[pos : pos + size] = block.reporting
             report_codes.extend(block.report_codes)
-            if succ_bool is not None:
-                rows = np.unpackbits(
-                    block.succ_words.view(np.uint8), axis=1, bitorder="little"
-                )
-                succ_bool[pos : pos + size, pos : pos + size] = rows[:, :size]
             nnz += int(block.succ_offsets[-1])
             pos += size
         return cls(
@@ -534,11 +517,6 @@ class KernelTables:
             start_sod=np.concatenate(start_sod_parts),
             reporting=reporting,
             report_codes=report_codes,
-            succ_words=(
-                np.packbits(succ_bool, axis=1, bitorder="little").view(np.uint64)
-                if succ_bool is not None
-                else None
-            ),
         )
 
     def check(self, n: int) -> "KernelTables":
@@ -550,10 +528,6 @@ class KernelTables:
             or self.succ_offsets.shape != (n + 1,)
             or self.reporting.shape != (n,)
             or len(self.report_codes) != n
-            or (
-                self.succ_words is not None
-                and self.succ_words.shape != (n, bitwords.num_words(n))
-            )
         ):
             raise SimulationError(
                 f"kernel tables do not match an automaton of {n} states"

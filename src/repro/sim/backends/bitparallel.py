@@ -98,16 +98,11 @@ class BitParallelKernel(CompiledKernel):
             start_all, start_sod = tables.start_all, tables.start_sod
             self._reporting = tables.reporting
             self._report_codes = list(tables.report_codes)
-        if tables is not None and tables.succ_words is not None:
-            # artifact warm path: the packed successor matrix was
-            # exported at compile time, skip the per-state build loop
-            self._succ_rows = np.ascontiguousarray(
-                tables.succ_words, dtype=np.uint64
-            )
-        else:
-            self._succ_rows = bitwords.successor_rows(
-                self._succ_offsets, self._succ_targets, n
-            )
+        # always derived from the CSR, never shipped: packed rows are
+        # n^2/8 bytes and a stale copy would silently drop transitions
+        self._succ_rows = bitwords.successor_rows(
+            self._succ_offsets, self._succ_targets, n
+        )
         self._start_all_words = bitwords.pack_indices(start_all, n)
         self._start_first_words = self._start_all_words | bitwords.pack_indices(
             start_sod, n
@@ -115,19 +110,6 @@ class BitParallelKernel(CompiledKernel):
         self._start_all = start_all
         self._start_sod = start_sod
         self._reporting_words = bitwords.pack_bool(self._reporting)
-
-    def export_tables(self) -> KernelTables:
-        """This kernel's structures in the serializable interchange form."""
-        return KernelTables(
-            match_words=self._match_words,
-            succ_offsets=self._succ_offsets,
-            succ_targets=self._succ_targets,
-            start_all=self._start_all,
-            start_sod=self._start_sod,
-            reporting=self._reporting,
-            report_codes=list(self._report_codes),
-            succ_words=self._succ_rows,
-        )
 
     # -- single-step API (parity with the sparse kernel) -----------------
     def enabled_at(self, active: np.ndarray, first_cycle: bool) -> np.ndarray:

@@ -134,17 +134,20 @@ def successor_rows(offsets: np.ndarray, targets: np.ndarray, n: int) -> np.ndarr
     Row ``s`` has bit ``t`` set iff ``s -> t`` is a transition; the
     enable step of the bit-parallel kernel ORs the rows of the active
     states, replacing the CSR gather + sort of the sparse kernel.
+    Derived from the CSR in one scatter over all edges, so rows are
+    never trusted from outside the automaton's own transitions.
     """
-    w = num_words(n)
-    rows = np.zeros((n, w * 8), dtype=np.uint8)
-    for s in range(n):
-        succ = targets[offsets[s] : offsets[s + 1]]
-        if succ.size:
-            np.bitwise_or.at(
-                rows[s],
-                succ >> 3,
-                np.left_shift(1, succ & 7).astype(np.uint8),
-            )
+    rows = np.zeros((n, num_words(n) * 8), dtype=np.uint8)
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.size:
+        sources = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(np.asarray(offsets))
+        )
+        np.bitwise_or.at(
+            rows,
+            (sources, targets >> 3),
+            np.left_shift(1, targets & 7).astype(np.uint8),
+        )
     return rows.view(np.uint64)
 
 

@@ -16,8 +16,8 @@ pays.  The shared object is found two ways, tried in order:
 When neither works (no compiler, no prebuilt extension, or
 ``REPRO_NATIVE=0``), everything degrades cleanly: ``NativeBackend``
 hands out plain :class:`BitParallelKernel` objects, so ``backend=
-"native"`` is always safe to request and artifacts compiled with the
-native kernel load anywhere.
+"native"`` is always safe to request, and the ``auto`` policy's
+packed choice runs the pure-numpy kernel.
 
 :class:`NativeKernel` subclasses the bit-parallel kernel: tables,
 state interchange and the observability surface are shared, and any
@@ -49,7 +49,7 @@ from repro.sim.backends.base import (
     StepResult,
     normalize_batch_caps,
 )
-from repro.sim.backends.bitparallel import BitParallelBackend, BitParallelKernel
+from repro.sim.backends.bitparallel import BitParallelKernel
 from repro.sim.reports import Report
 from repro.sim.trace import PartitionAssignment, TraceStats
 from repro.telemetry.metrics import default_registry
@@ -480,11 +480,3 @@ class NativeBackend:
             return BitParallelKernel(automaton, tables=tables)
         return NativeKernel(automaton, tables=tables)
 
-
-def dense_backend() -> "NativeBackend | BitParallelBackend":
-    """The packed-bitmap backend family's best member on this host:
-    native when the compiled loop loads, pure-numpy otherwise.  The
-    ``auto`` policy and artifact loading both resolve through this."""
-    if native_available():
-        return NativeBackend()
-    return BitParallelBackend()

@@ -67,22 +67,6 @@ class SparseKernel(CompiledKernel):
             self._reporting = tables.reporting
             self._report_codes = list(tables.report_codes)
 
-    def export_tables(self) -> KernelTables:
-        """This kernel's structures in the serializable interchange form."""
-        from repro.sim.backends import bitwords
-
-        return KernelTables(
-            match_words=np.stack(
-                [bitwords.pack_bool(row) for row in self._match_table]
-            ),
-            succ_offsets=self._succ_offsets,
-            succ_targets=self._succ_targets,
-            start_all=self._start_all,
-            start_sod=self._start_sod,
-            reporting=self._reporting,
-            report_codes=list(self._report_codes),
-        )
-
     # -- single-step API (used by the CAMA machine for lock-step checks) --
     def enabled_at(self, active: np.ndarray, first_cycle: bool) -> np.ndarray:
         """Indices of states enabled next cycle, given active indices."""

@@ -52,10 +52,10 @@ from repro.sim.backends import (
     PlacementTracker,
     ReportTruncationWarning,
     SimulationResult,
+    build_kernel,
     cached_successor_csr,
     choose_backend_name,
     gather_successors,
-    get_backend,
     successor_csr,
 )
 from repro.sim.backends import bitwords
@@ -169,7 +169,7 @@ class Engine:
             from repro.errors import ConfigError
 
             raise ConfigError("max_kept_reports must be >= 0")
-        self._kernel = get_backend(backend).compile(automaton)
+        self._kernel = build_kernel(automaton, backend)
         self.automaton = automaton
         self.max_kept_reports = max_kept_reports
         self.on_truncation = check_truncation_policy(on_truncation)
@@ -187,7 +187,7 @@ class Engine:
 
         The normal constructor compiles; this one does not — it is the
         warm-start path behind :meth:`repro.compile.artifact.
-        CompiledArtifact.engine` and the pipeline's kernel prebuild.
+        CompiledArtifact.engine` and :meth:`CompiledRuleset.engine`.
         """
         if max_kept_reports < 0:
             raise SimulationError("max_kept_reports must be >= 0")
@@ -377,7 +377,8 @@ class StridedEngine:
     ``sparse`` walks active index sets, ``bitparallel`` steps packed
     bitmaps with the stride's match mask formed as ``hi[first] &
     lo[second]``, and ``auto`` picks from the strided automaton's
-    estimated activity.  Unlike :class:`Engine`, custom
+    estimated activity.  There is no compiled strided step, so
+    ``native`` runs the packed strategy.  Unlike :class:`Engine`, custom
     :class:`ExecutionBackend` instances are not supported here — the
     product-class match step is strided-specific, so both strategies
     are implemented in this class.

@@ -68,7 +68,7 @@ class TestCompileConfig:
         assert PipelineOptions is CompileConfig
 
     def test_round_trip_dict_and_digest(self):
-        cfg = CompileConfig(optimize=True, stride=2, backend="bitparallel")
+        cfg = CompileConfig(optimize=True, stride=2, allow_negation=False)
         back = CompileConfig.from_dict(cfg.to_dict())
         assert back == cfg
         assert back.digest() == cfg.digest()
@@ -81,18 +81,19 @@ class TestCompileConfig:
     def test_invalid_values_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="unsupported stride"):
             CompileConfig(stride=4)
-        with pytest.raises(ConfigError, match="unknown execution backend"):
-            CompileConfig(backend="gpu")
+        # the backend is a scan-time choice: compile configs refuse it
+        with pytest.raises(ConfigError, match="unknown pipeline options"):
+            CompileConfig.from_dict({"backend": "sparse"})
 
     def test_digest_feeds_artifact_keys(self):
         nfa = compile_regex_set(RULES)
         base = ruleset_fingerprint(nfa)
-        sparse = ruleset_fingerprint(nfa, CompileConfig(backend="sparse"))
+        default = ruleset_fingerprint(nfa, CompileConfig())
         strided = ruleset_fingerprint(nfa, CompileConfig(stride=2))
-        assert len({base, sparse, strided}) == 3
+        assert len({base, default, strided}) == 3
         # config identity == key identity: same digest, same key
-        assert sparse == ruleset_fingerprint(
-            nfa, CompileConfig.from_dict(CompileConfig(backend="sparse").to_dict())
+        assert default == ruleset_fingerprint(
+            nfa, CompileConfig.from_dict(CompileConfig().to_dict())
         )
 
 
@@ -158,12 +159,6 @@ class TestScanConfig:
         assert merged.max_reports == 9
         assert merged.num_shards == 3
         assert cfg.merged() is cfg
-
-    def test_engine_backend_resolves_auto_once(self):
-        # the one place the "auto" -> defer-to-artifact rewrite lives
-        assert ScanConfig(backend="auto").engine_backend is None
-        assert ScanConfig(backend="sparse").engine_backend == "sparse"
-        assert ScanConfig(backend="bitparallel").engine_backend == "bitparallel"
 
 
 class TestDeprecationShims:
@@ -269,9 +264,7 @@ class TestRulesetFacade:
 
     def test_artifact_adoption_skips_recompilation(self, tmp_path):
         path = (
-            Ruleset.from_regexes(RULES)
-            .compile(CompileConfig(backend="sparse"))
-            .save(tmp_path / "r.npz")
+            Ruleset.from_regexes(RULES).compile().save(tmp_path / "r.npz")
         )
         with Ruleset.from_artifact(path).compile(
             scan=ScanConfig(backend="sparse")
@@ -332,10 +325,10 @@ class TestRulesetFacade:
 
     def test_key_covers_compile_config(self):
         rules = Ruleset.from_regexes(RULES)
-        sparse = rules.compile(CompileConfig(backend="sparse"))
-        auto = rules.compile(CompileConfig(backend="auto"))
-        assert sparse.fingerprint == auto.fingerprint
-        assert sparse.key != auto.key
+        default = rules.compile()
+        plain = rules.compile(CompileConfig(allow_negation=False))
+        assert default.fingerprint == plain.fingerprint
+        assert default.key != plain.key
 
     def test_serve_preloads_the_ruleset(self):
         handle = Ruleset.from_regexes(RULES).compile(

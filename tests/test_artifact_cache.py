@@ -18,7 +18,9 @@ from repro.compile import (
     CompiledArtifact,
     compile_ruleset,
 )
+from repro.api import ScanConfig
 from repro.service import Dispatcher, MatchingService, RulesetManager
+from repro.sim.backends.native import native_available
 from repro.sim.engine import Engine
 
 RULES_A = {"r1": "(a|b)e*cd+", "r2": "abc"}
@@ -46,7 +48,7 @@ class TestManagerDiskCache:
         first = RulesetManager(store=store)
         reports = first.engine(ruleset_a, "auto").run(STREAM).reports
         assert first.stats.disk_misses == 1
-        assert store.contains(first.artifact_key(ruleset_a, "auto"))
+        assert store.contains(first.artifact_key(ruleset_a))
 
         restarted = RulesetManager(store=store)
         engine = restarted.engine(ruleset_a, "auto")
@@ -82,7 +84,7 @@ class TestManagerDiskCache:
         baseline = keys_of(
             manager.engine(ruleset_a, "sparse").run(STREAM).reports
         )
-        key = manager.artifact_key(ruleset_a, "sparse")
+        key = manager.artifact_key(ruleset_a)
         # rewrite the stored artifact as a future format version
         artifact = CompiledArtifact.load(store.path(key))
         artifact.manifest["format_version"] = ARTIFACT_FORMAT_VERSION + 1
@@ -102,7 +104,7 @@ class TestManagerDiskCache:
         baseline = keys_of(
             manager.engine(ruleset_a, "sparse").run(STREAM).reports
         )
-        key = manager.artifact_key(ruleset_a, "sparse")
+        key = manager.artifact_key(ruleset_a)
         path = store.path(key)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
 
@@ -111,14 +113,21 @@ class TestManagerDiskCache:
         assert store.stats.invalid == 1
         assert keys_of(engine.run(STREAM).reports) == baseline
 
-    def test_instance_backends_bypass_disk(self, ruleset_a, tmp_path):
+    def test_instance_backends_share_the_disk_artifact(self, ruleset_a, tmp_path):
         from repro.sim.backends import SparseBackend
 
+        # artifacts are backend-neutral: an instance backend writes the
+        # same artifact a named backend then loads
         store = ArtifactStore(tmp_path)
         manager = RulesetManager(store=store)
         manager.engine(ruleset_a, SparseBackend())
-        assert len(store) == 0
-        assert manager.stats.disk_hits == manager.stats.disk_misses == 0
+        assert store.contains(manager.artifact_key(ruleset_a))
+        fresh = RulesetManager(store=store)
+        engine = fresh.engine(ruleset_a, "native")
+        assert fresh.stats.disk_hits == 1 and fresh.stats.disk_misses == 0
+        assert keys_of(engine.run(STREAM).reports) == keys_of(
+            Engine(ruleset_a).run(STREAM).reports
+        )
 
     def test_program_round_trips_through_store(self, ruleset_a, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -133,7 +142,7 @@ class TestManagerDiskCache:
         manager = RulesetManager()
         manager.engine(ruleset_a, "sparse")
         manager.store = ArtifactStore(tmp_path)
-        path = manager.ensure_artifact(ruleset_a, "sparse")
+        path = manager.ensure_artifact(ruleset_a)
         assert path is not None and path.exists()
         assert manager.stats.disk_misses == 0
         loaded = CompiledArtifact.load(path)
@@ -197,7 +206,7 @@ class TestArtifactDispatch:
 
 class TestServiceArtifacts:
     def test_register_artifact_seeds_cache(self, ruleset_a):
-        compiled = compile_ruleset(ruleset_a, backend="auto")
+        compiled = compile_ruleset(ruleset_a)
         artifact = CompiledArtifact.from_compiled(compiled)
         with MatchingService(num_shards=1) as service:
             handle, automaton = service.register_artifact(artifact.to_bytes())
@@ -212,11 +221,38 @@ class TestServiceArtifacts:
 
     def test_register_artifact_persists_to_store(self, ruleset_a, tmp_path):
         artifact = CompiledArtifact.from_compiled(
-            compile_ruleset(ruleset_a, backend="auto")
+            compile_ruleset(ruleset_a)
         )
         with MatchingService(artifact_store=tmp_path) as service:
             service.register_artifact(artifact)
             assert service.manager.store.contains(artifact.key)
+
+    def test_every_backend_shares_one_artifact_and_one_compile(self, tmp_path):
+        # one ruleset registered under each scan backend against one
+        # store: a single artifact key, and only the first pays a compile
+        nfa = compile_regex_set({"r1": "(a|b)e*cd+"}, name="one-key")
+        expected = keys_of(Engine(nfa).run(STREAM).reports)
+        store = ArtifactStore(tmp_path)
+        keys, compiled, resolved = set(), [], []
+        for backend in ("sparse", "bitparallel", "native", "auto"):
+            config = ScanConfig(backend=backend, artifact_store=store)
+            with MatchingService(config) as service:
+                record = service.register_ruleset(nfa)
+                compiled.append(record.compiled_components)
+                keys.add(service.manager.artifact_key(nfa))
+                result = service.scan(nfa, STREAM)
+                assert keys_of(result.reports) == expected, backend
+                resolved.append(result.backends)
+        assert len(keys) == 1
+        assert compiled == [1, 0, 0, 0]
+        assert len(list(tmp_path.glob("*.manifest.json"))) == 1
+        packed = "native" if native_available() else "bitparallel"
+        assert resolved == [
+            ["sparse"],
+            ["bitparallel"],
+            [packed],
+            ["sparse"],  # auto: narrow literals, low estimated activity
+        ]
 
     def test_service_restart_with_store_is_warm(self, ruleset_a, tmp_path):
         with MatchingService(artifact_store=tmp_path) as service:

@@ -67,9 +67,7 @@ def keys_of(reports):
 
 @pytest.fixture(scope="module")
 def compiled_regex():
-    return compile_ruleset(
-        compile_regex_set(RULES, name="artifact-tests"), backend="auto"
-    )
+    return compile_ruleset(compile_regex_set(RULES, name="artifact-tests"))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +78,7 @@ def artifact_bytes(compiled_regex):
 class TestRoundTrip:
     @pytest.mark.parametrize("label,automaton", rulesets())
     def test_reports_identical_and_oracle_checked(self, label, automaton):
-        compiled = compile_ruleset(automaton, backend="auto")
+        compiled = compile_ruleset(automaton)
         loaded = CompiledArtifact.from_bytes(
             CompiledArtifact.from_compiled(compiled).to_bytes()
         )
@@ -127,7 +125,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("label,automaton", rulesets())
     def test_program_reconstruction_lock_step(self, label, automaton):
-        compiled = compile_ruleset(automaton, backend=None)
+        compiled = compile_ruleset(automaton)
         loaded = CompiledArtifact.from_bytes(
             CompiledArtifact.from_compiled(compiled).to_bytes()
         )
@@ -140,9 +138,7 @@ class TestRoundTrip:
         assert keys_of(machine_reports) == keys_of(direct_reports)
 
     def test_engine_only_artifact_has_no_program(self, compiled_regex):
-        compiled = compile_ruleset(
-            compiled_regex.automaton, PipelineOptions(backend="sparse")
-        )
+        compiled = compile_ruleset(compiled_regex.automaton, PipelineOptions())
         compiled.program = None  # serialize a kernel-only compilation
         artifact = CompiledArtifact.from_compiled(compiled)
         loaded = CompiledArtifact.from_bytes(artifact.to_bytes())
@@ -151,9 +147,7 @@ class TestRoundTrip:
         loaded.engine()  # the kernel tables are still there
 
     def test_stride2_not_serializable(self, compiled_regex):
-        compiled = compile_ruleset(
-            compiled_regex.automaton, stride=2, backend="sparse"
-        )
+        compiled = compile_ruleset(compiled_regex.automaton, stride=2)
         with pytest.raises(ArtifactError, match="stride-2"):
             CompiledArtifact.from_compiled(compiled)
 
@@ -182,6 +176,17 @@ class TestCorruption:
         artifact = CompiledArtifact.from_bytes(artifact_bytes)
         artifact.manifest["format_version"] = ARTIFACT_FORMAT_VERSION + 1
         with pytest.raises(ArtifactError, match="format version"):
+            CompiledArtifact.from_bytes(artifact.to_bytes())
+
+    def test_v1_artifact_refused_with_recompile_error(self, artifact_bytes):
+        # the v1 layout: a recorded backend hint and packed successor rows
+        artifact = CompiledArtifact.from_bytes(artifact_bytes)
+        n = artifact.num_states
+        artifact.manifest["format_version"] = 1
+        artifact.manifest["backend"] = "native"
+        artifact.manifest["options"]["backend"] = "native"
+        artifact.arrays["succ_words"] = np.zeros((n, (n + 63) // 64), "<u8")
+        with pytest.raises(ArtifactError, match="v2.*recompile"):
             CompiledArtifact.from_bytes(artifact.to_bytes())
 
     def test_missing_array_rejected(self, artifact_bytes):
@@ -296,9 +301,7 @@ class TestStore:
             )
         }
         artifacts = {
-            name: CompiledArtifact.from_compiled(
-                compile_ruleset(a, backend="sparse")
-            )
+            name: CompiledArtifact.from_compiled(compile_ruleset(a))
             for name, a in automata.items()
         }
         one_size = len(artifacts["one"].to_bytes())
@@ -331,7 +334,7 @@ from repro.compile import CompiledArtifact, compile_ruleset
 
 rules = json.loads({json.dumps(json.dumps(RULES))})
 automaton = compile_regex_set(rules, name="artifact-tests")
-compiled = compile_ruleset(automaton, backend="auto")
+compiled = compile_ruleset(automaton)
 CompiledArtifact.from_compiled(compiled).save({str(out)!r})
 print(compiled.key)
 """

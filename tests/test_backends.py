@@ -41,7 +41,7 @@ TEST_SCALE = 1.0 / 64.0
 
 #: the kernel the dense family resolves to on this host — the auto
 #: policy upgrades "bitparallel" choices to the compiled C loop when
-#: it is loadable (see repro.sim.backends.native.dense_backend)
+#: it is loadable (see repro.sim.backends.build_kernel)
 DENSE_KERNEL = "native" if native_available() else "bitparallel"
 
 
@@ -442,6 +442,22 @@ class TestBitwords:
             words = bitwords.pack_indices(ids, n)
             assert np.array_equal(bitwords.unpack_indices(words), ids)
             assert bitwords.popcount(words) == len(ids)
+
+    def test_successor_rows_match_per_state_reference(self):
+        # the one-scatter derivation against the per-state loop it replaced
+        rng = random.Random(5)
+        for n in (1, 5, 64, 65, 130):
+            nfa = random_automaton(rng, n)
+            offsets, targets = cached_successor_csr(nfa)
+            reference = np.stack(
+                [
+                    bitwords.pack_indices(targets[offsets[s] : offsets[s + 1]], n)
+                    for s in range(n)
+                ]
+            )
+            assert np.array_equal(
+                bitwords.successor_rows(offsets, targets, n), reference
+            )
 
     def test_pack_bool_matches_pack_indices(self):
         mask = np.zeros(100, dtype=bool)

@@ -37,6 +37,7 @@ from repro.cluster import (
     LocalFleet,
     NodeChannel,
     NodeError,
+    NodeProcess,
     QuotaExceededError,
     QuotaManager,
     TenantQuota,
@@ -51,6 +52,7 @@ from repro.service import (
     RetryPolicy,
 )
 from repro.service.protocol import encode_data
+from repro.sim.backends.native import native_available
 
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxyaecddabcyx" * 40
@@ -939,9 +941,7 @@ class TestRetryPolicy:
 
 def _artifact_for(rules, name):
     automaton = compile_regex_set(rules, name=name)
-    return CompiledArtifact.from_compiled(
-        compile_ruleset(automaton, backend="auto")
-    )
+    return CompiledArtifact.from_compiled(compile_ruleset(automaton))
 
 
 def _child_pressure(root, max_bytes, n, queue):
@@ -1166,6 +1166,62 @@ class TestFleetProcesses:
             assert any(
                 not entry["alive"] for entry in stats["nodes"].values()
             )
+
+    def test_mixed_backend_fleet_shares_one_compile_and_fails_over(
+        self, tmp_path, offline
+    ):
+        # one node pins sparse, the other native (the numpy packed
+        # kernel where the compiled loop does not load): artifacts are
+        # backend-neutral, so the fleet pays one compile, and
+        # checkpointed streams cross backends exactly
+        nodes = [
+            NodeProcess(artifact_cache=tmp_path, backend="sparse"),
+            NodeProcess(artifact_cache=tmp_path, backend="native"),
+        ]
+        chunks = [STREAM[i : i + 157] for i in range(0, len(STREAM), 157)]
+        try:
+            for node in nodes:
+                node.start()
+            with BackgroundRouter(
+                ClusterRouter(
+                    [(n.host, n.port) for n in nodes],
+                    replication=2,
+                    health_interval_s=0.5,
+                )
+            ) as bg, MatchingClient(port=bg.port) as client:
+                handle = client.register(RULES)
+                counts = [_compiled_counts(n) for n in nodes]
+                paid = [c for c in counts if c.get("compiled", 0) > 0]
+                assert len(paid) == 1, counts  # one cold compile
+                resolved = []
+                for node in nodes:
+                    with MatchingClient(host=node.host, port=node.port) as d:
+                        result = d.scan(handle, STREAM)
+                        assert keys_of(result.reports) == keys_of(
+                            offline.reports
+                        )
+                        resolved.append(result.backends)
+                assert resolved[0] == ["sparse"]
+                assert resolved[1] == (
+                    ["native"] if native_available() else ["bitparallel"]
+                )
+                names = [f"mixed-{i}" for i in range(4)]
+                sessions = {n: client.open_session(handle, n) for n in names}
+                collected = {n: [] for n in names}
+                for name in names:
+                    collected[name].extend(sessions[name].feed(chunks[0]))
+                nodes[0].kill()  # the sparse node, mid-stream
+                for chunk in chunks[1:]:
+                    for name in names:
+                        collected[name].extend(sessions[name].feed(chunk))
+                for name in names:
+                    sessions[name].close()
+                assert client.stats()["failovers"] >= 1
+            for name in names:
+                assert keys_of(collected[name]) == keys_of(offline.reports)
+        finally:
+            for node in nodes:
+                node.stop()
 
     def test_serve_cluster_api_smoke(self, tmp_path):
         from repro.api import Ruleset

@@ -12,7 +12,12 @@ from repro.compile import (
     ruleset_fingerprint,
 )
 from repro.compile.ir import PipelineState
-from repro.compile.passes import EncodingPass, MappingPass, ParsePass
+from repro.compile.passes import (
+    PROGRAM_PASSES,
+    EncodingPass,
+    MappingPass,
+    ParsePass,
+)
 from repro.core.compiler import CamaCompiler, compile_automaton
 from repro.errors import ReproError
 from repro.sim.engine import Engine, StridedEngine
@@ -40,15 +45,16 @@ class TestOptions:
             PipelineOptions(stride=4).validate()
 
     def test_bad_backend_rejected(self):
+        # the backend is chosen at scan time; compile options refuse it
         with pytest.raises(ReproError, match="backend"):
-            PipelineOptions(backend="gpu").validate()
+            PipelineOptions.from_dict({"backend": "sparse"})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ReproError, match="unknown pipeline options"):
             PipelineOptions.from_dict({"optimise": True})
 
     def test_roundtrip_dict(self):
-        options = PipelineOptions(optimize=True, stride=2, backend="sparse")
+        options = PipelineOptions(optimize=True, stride=2, clustered=False)
         assert PipelineOptions.from_dict(options.to_dict()) == options
 
     def test_digest_covers_every_knob(self):
@@ -56,8 +62,6 @@ class TestOptions:
         variants = [
             base.replace(optimize=True),
             base.replace(stride=2),
-            base.replace(backend="bitparallel"),
-            base.replace(backend=None),
             base.replace(allow_negation=False),
             base.replace(clustered=False),
             base.replace(fixed_32bit=True),
@@ -67,11 +71,9 @@ class TestOptions:
 
     def test_fingerprint_covers_options(self, ruleset):
         bare = ruleset_fingerprint(ruleset)
-        sparse = ruleset_fingerprint(
-            ruleset, PipelineOptions(backend="sparse")
-        )
+        default = ruleset_fingerprint(ruleset, PipelineOptions())
         strided = ruleset_fingerprint(ruleset, PipelineOptions(stride=2))
-        assert len({bare, sparse, strided}) == 3
+        assert len({bare, default, strided}) == 3
 
 
 class TestPipelineDriver:
@@ -124,8 +126,8 @@ class TestPipelineDriver:
             Pipeline().run_pass("vectorize", state)
 
     def test_option_kwargs_front_door(self, ruleset):
-        compiled = compile_ruleset(ruleset, backend="bitparallel")
-        assert compiled.kernel.name == "bitparallel"
+        compiled = compile_ruleset(ruleset, allow_negation=False)
+        assert compiled.options == PipelineOptions(allow_negation=False)
 
     def test_bad_source_type(self):
         with pytest.raises(ReproError, match="cannot compile"):
@@ -134,7 +136,7 @@ class TestPipelineDriver:
 
 class TestPipelineProducts:
     def test_matches_legacy_compiler(self, ruleset):
-        compiled = compile_ruleset(ruleset, backend=None)
+        compiled = compile_ruleset(ruleset)
         legacy = compile_automaton(ruleset)
         assert compiled.program.summary() == legacy.summary()
         assert compiled.program.state_encodings == legacy.state_encodings
@@ -142,7 +144,7 @@ class TestPipelineProducts:
     @pytest.mark.parametrize("name", ["TCP", "Bro217", "BlockRings"])
     def test_matches_legacy_on_registry(self, name):
         automaton = get_benchmark(name, scale=1 / 64).automaton
-        compiled = compile_ruleset(automaton, backend=None)
+        compiled = compile_ruleset(automaton)
         assert compiled.program.summary() == compile_automaton(automaton).summary()
 
     def test_cama_compiler_is_thin_driver(self, ruleset):
@@ -150,11 +152,14 @@ class TestPipelineProducts:
         program = compiler.compile(ruleset)
         assert program.summary()["encoding"].startswith("fixed-")
         options = compiler.options()
-        assert options.backend is None and options.fixed_32bit
+        assert options.fixed_32bit and not options.clustered
 
     def test_engine_from_compiled_kernel(self, ruleset):
-        compiled = compile_ruleset(ruleset, backend="sparse")
-        engine = compiled.engine(max_kept_reports=5, on_truncation="ignore")
+        compiled = compile_ruleset(ruleset)
+        engine = compiled.engine(
+            "sparse", max_kept_reports=5, on_truncation="ignore"
+        )
+        assert engine.backend_name == "sparse"
         direct = Engine(ruleset, backend="sparse")
         assert report_keys(engine.run(STREAM, max_reports=10**6)) == report_keys(
             direct.run(STREAM)
@@ -162,8 +167,10 @@ class TestPipelineProducts:
         assert engine.max_kept_reports == 5
 
     def test_engine_requires_kernel(self, ruleset):
-        compiled = compile_ruleset(ruleset, backend=None)
-        with pytest.raises(ReproError, match="without a kernel"):
+        # a program-only compilation skips the kernel-tables pass
+        compiled = Pipeline(PROGRAM_PASSES).run(ruleset)
+        assert compiled.tables is None and compiled.program is not None
+        with pytest.raises(ReproError, match="without the kernel"):
             compiled.engine()
 
     def test_optimize_pass_reduces_and_preserves_reports(self):
@@ -171,7 +178,7 @@ class TestPipelineProducts:
         automaton = compile_regex_set(
             {"a": "abcdef", "b": "abcxyz", "c": "abcqrs"}
         )
-        compiled = compile_ruleset(automaton, optimize=True, backend="sparse")
+        compiled = compile_ruleset(automaton, optimize=True)
         assert compiled.optimization is not None
         assert len(compiled.automaton) < len(automaton)
         data = b"abcdefabcxyzabcqrs" * 5
@@ -185,9 +192,9 @@ class TestPipelineProducts:
         ]
 
     def test_stride2_builds_strided_engine(self, ruleset):
-        compiled = compile_ruleset(ruleset, stride=2, backend="sparse")
-        assert isinstance(compiled.kernel, StridedEngine)
-        assert compiled.program is None
+        compiled = compile_ruleset(ruleset, stride=2)
+        assert isinstance(compiled.engine(), StridedEngine)
+        assert compiled.program is None and compiled.tables is None
         skipped = {t.name for t in compiled.timings if t.skipped}
         assert {"encode", "map"} <= skipped
         data = pad_input(STREAM)
@@ -197,10 +204,13 @@ class TestPipelineProducts:
             (r.cycle, r.state_id) for r in unstrided.reports
         ]
 
-    def test_stride2_engine_rejects_engine_kwargs(self, ruleset):
-        compiled = compile_ruleset(ruleset, stride=2, backend="sparse")
-        with pytest.raises(ReproError, match="already an engine"):
-            compiled.engine(max_kept_reports=1)
+    def test_stride2_engine_takes_backend_and_engine_kwargs(self, ruleset):
+        # the strided engine is built at scan time, like any other
+        compiled = compile_ruleset(ruleset, stride=2)
+        engine = compiled.engine("bitparallel", max_kept_reports=1)
+        assert engine.backend_name == "bitparallel"
+        assert engine.max_kept_reports == 1
+        assert compiled.engine().backend_name == "sparse"  # auto
 
     def test_timing_rows_render(self, ruleset):
         rows = compile_ruleset(ruleset).timing_rows()

@@ -73,7 +73,7 @@ def ruleset(rules, name="ruleset"):
 class TestComponentFingerprints:
     def test_component_fingerprint_equals_subautomaton_fingerprint(self):
         automaton = ruleset(RULES)
-        options = PipelineOptions(backend="sparse")
+        options = PipelineOptions()
         for comp in connected_components(automaton):
             sub = automaton.subautomaton(comp)
             assert component_fingerprint(
@@ -117,17 +117,17 @@ class TestComponentFingerprints:
     def test_composition_key_tracks_options(self):
         automaton = ruleset(RULES)
         comps = connected_components(automaton)
-        sparse = composition_key(
-            component_fingerprint(automaton, c, PipelineOptions(backend="sparse"))
+        default = composition_key(
+            component_fingerprint(automaton, c, PipelineOptions())
             for c in comps
         )
-        bitp = composition_key(
+        plain = composition_key(
             component_fingerprint(
-                automaton, c, PipelineOptions(backend="bitparallel")
+                automaton, c, PipelineOptions(allow_negation=False)
             )
             for c in comps
         )
-        assert sparse != bitp
+        assert default != plain
 
 
 # -- the incremental compiler ----------------------------------------------
@@ -195,7 +195,7 @@ class TestIncrementalCompiler:
     def test_key_matches_classic_artifact_key(self):
         from repro.compile import compile_ruleset
 
-        options = PipelineOptions(backend="sparse")
+        options = PipelineOptions()
         automaton = ruleset(RULES)
         composed = IncrementalCompiler(options=options).compile(automaton)
         assert composed.key == compile_ruleset(automaton, options).key
@@ -205,24 +205,25 @@ class TestIncrementalCompiler:
 
 
 class TestComposedOracle:
-    @pytest.mark.parametrize("backend", ["sparse", "bitparallel", "auto"])
+    @pytest.mark.parametrize(
+        "backend", ["sparse", "bitparallel", "native", "auto"]
+    )
     @pytest.mark.parametrize("num_shards", [1, 2, 3])
     def test_composed_scan_equals_cold_compile(self, backend, num_shards):
         automaton = ruleset(RULES)
-        options = PipelineOptions(backend=backend)
-        composed = IncrementalCompiler(options=options).compile(automaton)
-        shards, engines = composed.build_shards(num_shards)
+        composed = IncrementalCompiler().compile(automaton)
+        shards, engines = composed.build_shards(num_shards, backend)
         from repro.service.sharding import Dispatcher
 
+        config = ScanConfig(backend=backend, num_shards=num_shards)
         incremental = Dispatcher(
-            automaton,
-            ScanConfig(backend=backend, num_shards=num_shards),
-            prebuilt=(shards, engines),
-        ).scan(STREAM)
-        cold = Dispatcher(
-            automaton, ScanConfig(backend=backend, num_shards=num_shards)
-        ).scan(STREAM)
-        assert report_keys(incremental.reports) == report_keys(cold.reports)
+            automaton, config, prebuilt=(shards, engines)
+        )
+        cold = Dispatcher(automaton, config)
+        assert incremental.backend_names == cold.backend_names
+        assert report_keys(incremental.scan(STREAM).reports) == report_keys(
+            cold.scan(STREAM).reports
+        )
 
     def test_incremental_recompile_equals_oracle(self):
         rng = random.Random(99)

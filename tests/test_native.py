@@ -17,15 +17,19 @@ import numpy as np
 import pytest
 
 from oracle import oracle_run
-from repro.api.config import CompileConfig, ScanConfig
+from repro.api.config import ScanConfig
 from repro.automata.glushkov import compile_regex_set
 from repro.compile import CompiledArtifact, compile_ruleset
-from repro.sim.backends import BACKEND_NAMES, get_backend, native
+from repro.sim.backends import (
+    BACKEND_NAMES,
+    choose_backend_name,
+    get_backend,
+    native,
+)
 from repro.sim.backends.bitparallel import BitParallelKernel
 from repro.sim.backends.native import (
     NativeBackend,
     NativeKernel,
-    dense_backend,
     native_available,
     native_status,
 )
@@ -77,7 +81,6 @@ def test_native_is_a_first_class_backend_name():
     assert isinstance(get_backend("native"), NativeBackend)
     # config validation accepts it everywhere a backend is selectable
     assert ScanConfig(backend="native").backend == "native"
-    assert CompileConfig(backend="native").backend == "native"
 
 
 def test_native_status_is_one_line():
@@ -196,7 +199,6 @@ def test_env_switch_degrades_to_pure_numpy(no_native):
     hands out plain BitParallelKernel objects and stays correct."""
     assert native_available() is False
     assert "unavailable" in native_status()
-    assert dense_backend().name == "bitparallel"
     nfa = compile_regex_set(RULES, name="degraded")
     kernel = get_backend("native").compile(nfa)
     assert type(kernel) is BitParallelKernel
@@ -205,11 +207,18 @@ def test_env_switch_degrades_to_pure_numpy(no_native):
     expected = oracle_run(nfa, data)
     result = Engine(nfa, backend="native").run(data)
     assert _keys(result.reports) == _keys(expected.reports)
+    # auto's packed choice degrades the same way
+    dense = dense_activity_automaton(48, chain_length=16, match_width=230)
+    assert choose_backend_name(dense) == "bitparallel"
+    assert Engine(dense, backend="auto").backend_name == "bitparallel"
 
 
 @needs_native
 def test_dense_backend_prefers_native():
-    assert dense_backend().name == "native"
+    """auto's packed (dense) choice runs the compiled loop."""
+    dense = dense_activity_automaton(48, chain_length=16, match_width=230)
+    assert choose_backend_name(dense) == "bitparallel"
+    assert Engine(dense, backend="auto").backend_name == "native"
 
 
 @needs_native
@@ -229,35 +238,34 @@ def test_native_engine_pickle_round_trip():
 # -- tables / artifact interchange -----------------------------------------
 
 
-def test_exported_tables_carry_packed_successor_rows():
-    """export_tables ships succ_words and a tables-built kernel uses
-    them verbatim instead of re-deriving the packed rows."""
+def test_zeroed_successor_rows_in_an_artifact_are_never_read():
+    """Packed successor rows are derived from the CSR on load, never
+    shipped: an artifact smuggling a zeroed ``succ_words`` array still
+    scans like the oracle on the packed kernels."""
     nfa = compile_regex_set(RULES, name="tables")
-    kernel = get_backend("bitparallel").compile(nfa)
-    tables = kernel.export_tables()
-    assert tables.succ_words is not None
-    assert tables.succ_words.shape == kernel._succ_rows.shape
-    rebuilt = BitParallelKernel(nfa, tables=tables)
-    assert np.array_equal(rebuilt._succ_rows, kernel._succ_rows)
+    artifact = CompiledArtifact.from_compiled(compile_ruleset(nfa))
+    assert "succ_words" not in artifact.arrays
+    n = len(nfa)
+    artifact.arrays["succ_words"] = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    loaded = CompiledArtifact.from_bytes(artifact.to_bytes()).verify()
     data = b"abcddxfoobarbaz123zqnd" * 5
-    assert _keys(rebuilt.run_chunk(data, rebuilt.initial_state()).reports) == (
-        _keys(kernel.run_chunk(data, kernel.initial_state()).reports)
-    )
+    expected = _keys(oracle_run(nfa, data).reports)
+    assert expected
+    for backend in ("native", "bitparallel"):
+        engine = loaded.engine(backend)
+        assert _keys(engine.run(data).reports) == expected, backend
 
 
 def test_artifact_round_trip_with_native_backend():
-    """compile -> artifact bytes -> engine, recorded backend "native":
-    succ_words ships in the .npz and the loaded engine is exact (even
-    when the loading host must degrade to the numpy kernel)."""
+    """compile -> artifact bytes -> native engine: the artifact is
+    backend-neutral and the loaded engine is exact (even when the
+    loading host must degrade to the numpy kernel)."""
     nfa = compile_regex_set(RULES, name="native-artifact")
-    compiled = compile_ruleset(nfa, backend="native")
-    artifact = CompiledArtifact.from_compiled(compiled)
+    artifact = CompiledArtifact.from_compiled(compile_ruleset(nfa))
     loaded = CompiledArtifact.from_bytes(artifact.to_bytes()).validate()
-    assert "succ_words" in loaded.arrays
-    tables = loaded.kernel_tables()
-    assert tables.succ_words is not None
+    assert "backend" not in loaded.manifest
     expected_name = "native" if native_available() else "bitparallel"
-    engine = loaded.engine()
+    engine = loaded.engine("native")
     assert engine.backend_name == expected_name
     data = b"abcddxfoobarbaz123zqnd" * 10
     expected = oracle_run(nfa, data)
@@ -267,13 +275,13 @@ def test_artifact_round_trip_with_native_backend():
 
 
 def test_auto_artifact_engine_upgrades_dense_family():
-    """An artifact compiled with backend="auto" resolves its dense
-    choice through dense_backend() at load time."""
+    """An artifact carries no backend: ``auto`` resolves when the
+    engine is built, and its dense choice runs the compiled loop where
+    it loads."""
     # a dense-activity automaton, so the family choice is bitparallel
     nfa = dense_activity_automaton(48, chain_length=16, match_width=230)
-    compiled = compile_ruleset(nfa, backend="auto")
     loaded = CompiledArtifact.from_bytes(
-        CompiledArtifact.from_compiled(compiled).to_bytes()
+        CompiledArtifact.from_compiled(compile_ruleset(nfa)).to_bytes()
     )
     engine = loaded.engine()
-    assert engine.backend_name == dense_backend().name
+    assert engine.backend_name == ("native" if native_available() else "bitparallel")

@@ -423,9 +423,7 @@ class TestArtifactUpload:
     def artifact(self, ruleset):
         from repro.compile import CompiledArtifact, compile_ruleset
 
-        return CompiledArtifact.from_compiled(
-            compile_ruleset(ruleset, backend="auto")
-        )
+        return CompiledArtifact.from_compiled(compile_ruleset(ruleset))
 
     def test_uploaded_artifact_scans_byte_identical(
         self, harness, artifact, offline

@@ -279,6 +279,76 @@ class TestSessions:
         with pytest.raises(SimulationError):
             session.feed(b"a")
 
+    def test_with_block_close_releases_the_session(self):
+        # leaving the with block must do everything close_session does:
+        # drop the session, and let a pending hot-swap retire its version
+        from repro.api import ScanConfig
+
+        v1 = compile_regex_set({"r1": "(a|b)e*cd+", "r2": "abc"})
+        with MatchingService(ScanConfig()) as service:
+            record1 = service.register_ruleset(v1)
+            with service.open_session(v1, "s") as session:
+                session.feed(b"aecdabc")
+                service.update_ruleset(v1, add={"r3": "x+y"})
+                assert service.version_summary()["retiring"] == 1
+            assert service.sessions == {}
+            assert service.version_summary() == {
+                "lineages": 1,
+                "live": 1,
+                "retiring": 0,
+            }
+            assert service.ruleset_version(record1.fingerprint) is None
+            with pytest.raises(SimulationError, match="no such session"):
+                service.close_session("s")
+            # the name is free again
+            service.open_session(v1, "s").close()
+            assert service.sessions == {}
+
+    def test_concurrent_closes_release_each_session_once(self):
+        # both close paths racing on the same sessions: the bookkeeping
+        # (table, version refcount, open-sessions gauge) moves once each
+        import sys
+        import threading
+
+        from repro.api import ScanConfig
+        from repro.service.service import _SESSIONS_OPEN
+
+        v1 = compile_regex_set({"r1": "(a|b)e*cd+", "r2": "abc"})
+        gauge = _SESSIONS_OPEN.labels()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MatchingService(ScanConfig()) as service:
+                record1 = service.register_ruleset(v1)
+                open_before = gauge.value
+                sessions = [service.open_session(v1, f"s{i}") for i in range(16)]
+                service.update_ruleset(v1, add={"r3": "x+y"})
+
+                def close(i):
+                    session = sessions[i % len(sessions)]
+                    if i % 2:
+                        session.close()
+                    else:
+                        try:
+                            service.close_session(session.name)
+                        except SimulationError:
+                            pass  # the other path released it first
+
+                threads = [
+                    threading.Thread(target=close, args=(i,)) for i in range(64)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert service.sessions == {}
+                assert record1.sessions == 0
+                assert gauge.value == open_before
+                assert service.version_summary()["retiring"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_duplicate_session_name_rejected(self, ruleset):
         service = MatchingService()
         service.open_session(ruleset, "dup")
