@@ -19,6 +19,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.api import ScanConfig
 from repro.automata import compile_regex_set
 from repro.compile import CompiledArtifact, compile_ruleset
 from repro.service import BackgroundServer, MatchingClient, MatchingService
@@ -68,9 +69,9 @@ def main() -> None:
 
     # 4. A service with a persistent artifact cache survives restarts warm.
     cache = workdir / "cache"
-    with MatchingService(artifact_store=cache) as service:
+    with MatchingService(ScanConfig(artifact_store=cache)) as service:
         service.scan(ruleset, PAYLOAD)
-    with MatchingService(artifact_store=cache) as restarted:
+    with MatchingService(ScanConfig(artifact_store=cache)) as restarted:
         restarted.scan(ruleset, PAYLOAD)
         stats = restarted.manager.stats
         print(f"service restart: disk_hits={stats.disk_hits}, "

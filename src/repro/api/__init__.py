@@ -25,21 +25,18 @@ engines (:mod:`repro.sim`), the matching service and the network server
         warm = Ruleset.from_artifact("rules.npz").compile()  # load anywhere
         handle.serve(port=8765)                      # ... or serve it
 
-Legacy keyword signatures (``MatchingService(num_shards=4)``,
-``Dispatcher(a, num_shards=2)``, ...) keep working through deprecation
-shims that build these configs internally and emit a
-``DeprecationWarning``.
+The service stack below the facade takes the same objects:
+``MatchingService(ScanConfig(num_shards=4))``,
+``Dispatcher(automaton, ScanConfig(num_shards=2))``, and so on.
 """
 
 from repro.api.config import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_CHUNK_SIZE,
-    MP_START_METHODS,
     SUPPORTED_STRIDES,
     ClusterConfig,
     CompileConfig,
     ScanConfig,
-    warn_legacy_kwargs,
 )
 from repro.errors import ConfigError
 
@@ -49,12 +46,10 @@ __all__ = [
     "ConfigError",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_CHUNK_SIZE",
-    "MP_START_METHODS",
     "Ruleset",
     "RulesetHandle",
     "SUPPORTED_STRIDES",
     "ScanConfig",
-    "warn_legacy_kwargs",
 ]
 
 #: names served lazily to keep ``repro.api.config`` importable from the

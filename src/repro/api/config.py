@@ -1,9 +1,8 @@
 """Typed configuration objects: the single source of option validation.
 
-Four PRs grew four parallel entry points — ``Engine``/``CamaMachine``,
-:class:`~repro.service.service.MatchingService`, the NDJSON server, and
-the ``repro.compile`` pipeline — each re-declaring the same knobs as
-loose keyword arguments.  This module collapses them into two frozen
+The ``repro.compile`` pipeline, the service stack
+(:class:`~repro.service.service.MatchingService` and what it builds),
+the NDJSON server and the CLI take their options from two frozen
 dataclasses:
 
 :class:`CompileConfig`
@@ -18,29 +17,22 @@ dataclasses:
 :class:`ScanConfig`
     Everything that changes *how compiled rulesets execute and are
     cached* (backend policy, sharding, workers, chunking, report caps,
-    truncation policy, the artifact store, the multiprocessing start
-    method).  The service, dispatcher, session, server protocol and CLI
-    all consume it; per-call overrides merge onto it with
+    truncation policy, the artifact store).  It is the only way to
+    configure the service, dispatcher, session and server — their
+    constructors take no loose option keywords — and the wire protocol
+    and CLI build one too; per-call overrides merge onto it with
     :meth:`~ScanConfig.merged`.
 
 Both validate in ``__post_init__`` (raising
 :class:`~repro.errors.ConfigError`), round-trip through
 ``to_dict``/``from_dict`` (the wire-protocol and artifact-manifest
 form), and have a stable :meth:`digest`.
-
-Legacy keyword signatures across the code base keep working through
-thin shims that construct these objects internally and emit a
-:class:`DeprecationWarning` attributed to the *caller* — internal code
-paths never hit the shims, which the CI deprecation gate enforces by
-erroring on any ``DeprecationWarning`` attributed to a ``repro.*``
-module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -61,66 +53,6 @@ DEFAULT_CACHE_CAPACITY = 32
 #: strides the compilation pipeline knows how to build — canonical
 #: definition; :mod:`repro.compile.ir` re-exports it
 SUPPORTED_STRIDES = (1, 2)
-
-#: multiprocessing start methods a :class:`ScanConfig` accepts (None =
-#: platform default); availability is checked at pool creation, not here
-MP_START_METHODS = (None, "fork", "spawn", "forkserver")
-
-
-def warn_legacy_kwargs(api: str, names, *, stacklevel: int = 3) -> None:
-    """Emit the deprecation warning for a legacy keyword call site.
-
-    ``stacklevel`` must attribute the warning to the *caller* of the
-    shimmed signature: the CI deprecation gate errors on warnings
-    attributed to ``repro.*`` modules, so an internal code path that
-    regresses onto a shim fails loudly while user code merely warns.
-    """
-    joined = ", ".join(sorted(names))
-    warnings.warn(
-        f"{api}({joined}=...) keyword configuration is deprecated; "
-        f"pass a typed config object instead "
-        f"(repro.api.CompileConfig / repro.api.ScanConfig)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_legacy_config(
-    api: str,
-    config,
-    legacy: dict,
-    *,
-    stacklevel: int = 4,
-):
-    """The shared deprecation shim behind every rewired constructor.
-
-    ``legacy`` maps :class:`ScanConfig` field names to the loose-kwarg
-    values the caller passed (None = not passed; ``max_reports`` is
-    displayed as ``default_max_reports`` where that was the old kwarg
-    name).  Returns ``config`` untouched when no legacy kwarg was used;
-    otherwise warns (attributed ``stacklevel`` frames up — the caller
-    of the shimmed constructor) and builds the config from the kwargs.
-    Mixing both forms is a :class:`~repro.errors.ConfigError`.
-    """
-    legacy = {k: v for k, v in legacy.items() if v is not None}
-    if not legacy:
-        return config
-    if config is not None:
-        raise ConfigError(
-            "pass either a ScanConfig or loose keywords, not both"
-        )
-    shown = {
-        "default_max_reports" if k == "_default_max_reports" else k
-        for k in legacy
-    }
-    warn_legacy_kwargs(api, shown, stacklevel=stacklevel)
-    return ScanConfig(
-        **{
-            ("max_reports" if k == "_default_max_reports" else k): v
-            for k, v in legacy.items()
-        }
-    )
-
 
 def _require_int(name: str, value, *, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -228,8 +160,6 @@ class ScanConfig:
         artifact_store: optional persistent compiled-artifact cache (an
             :class:`~repro.compile.store.ArtifactStore` or a directory
             path).
-        mp_start_method: multiprocessing start method for sharded
-            worker pools (None = platform default).
         hardware_ledger: attach the modeled-hardware ledger (CAMA
             energy breakdown, cycle latency, tile occupancy — see
             :mod:`repro.telemetry.ledger`) to every scan result and
@@ -258,7 +188,6 @@ class ScanConfig:
     max_reports: int = DEFAULT_MAX_KEPT_REPORTS
     on_truncation: str = "warn"
     artifact_store: object = None
-    mp_start_method: str | None = None
     hardware_ledger: bool = False
     ledger_design: str = "CAMA-E"
     trace: bool = False
@@ -288,12 +217,6 @@ class ScanConfig:
             raise ConfigError(
                 f"unknown truncation policy {self.on_truncation!r}; "
                 f"expected one of {', '.join(TRUNCATION_POLICIES)}"
-            )
-        if self.mp_start_method not in MP_START_METHODS:
-            known = ", ".join(str(m) for m in MP_START_METHODS)
-            raise ConfigError(
-                f"unknown mp_start_method {self.mp_start_method!r}; "
-                f"expected one of {known}"
             )
         _require_int("batch_max_rows", self.batch_max_rows, minimum=1)
         if isinstance(self.batch_max_delay_ms, bool) or not isinstance(

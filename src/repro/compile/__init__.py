@@ -25,14 +25,14 @@ package makes that step explicit, inspectable and shippable:
 ``store``
     :class:`ArtifactStore` — a content-addressed artifact directory
     with an LRU *byte* budget; the persistent second-level cache behind
-    :class:`~repro.service.ruleset.RulesetManager` and the spawn-worker
-    shipping of :class:`~repro.service.sharding.Dispatcher`.
+    :class:`~repro.service.ruleset.RulesetManager` and the incremental
+    compiler's per-component artifacts.
 
 Quick use::
 
     from repro.compile import compile_ruleset, CompiledArtifact
 
-    compiled = compile_ruleset(automaton, backend="auto")
+    compiled = compile_ruleset(automaton)
     CompiledArtifact.from_compiled(compiled).save("snort.npz")
     # ... any other process, later ...
     engine = CompiledArtifact.load("snort.npz").engine()

@@ -281,7 +281,6 @@ class IncrementalCompiler:
         automaton: Automaton,
         *,
         workers: int = 1,
-        mp_start_method: str | None = None,
     ) -> ComposedRuleset:
         """Compile ``automaton``, reusing every cached component.
 
@@ -298,9 +297,7 @@ class IncrementalCompiler:
                 )
                 for i in missing
             ]
-            fresh = self._compile_missing(
-                subs, workers=workers, mp_start_method=mp_start_method
-            )
+            fresh = self._compile_missing(subs, workers=workers)
             for i, artifact in zip(missing, fresh):
                 if artifact.key != keys[i]:
                     raise ConfigError(
@@ -336,16 +333,11 @@ class IncrementalCompiler:
         return composed
 
     def _compile_missing(
-        self,
-        subs: list[Automaton],
-        *,
-        workers: int,
-        mp_start_method: str | None,
+        self, subs: list[Automaton], *, workers: int
     ) -> list[CompiledArtifact]:
         if workers > 1 and len(subs) > 1:
-            ctx = multiprocessing.get_context(mp_start_method)
             tasks = [(sub, self.options) for sub in subs]
-            with ctx.Pool(processes=min(workers, len(subs))) as pool:
+            with multiprocessing.Pool(min(workers, len(subs))) as pool:
                 blobs = pool.map(_compile_component_job, tasks)
             return [CompiledArtifact.from_bytes(blob) for blob in blobs]
         return [

@@ -14,11 +14,10 @@ Architecture (bottom-up)::
       CamaMachine.run_chunk           start of *stream*, never chunk 2+
 
     ruleset.RulesetManager            fingerprint (language content, not
-                                      names) -> LRU of compiled Engines /
-                                      CamaPrograms / CamaMachines, with an
-                                      optional persistent second level of
-                                      serialized artifacts (repro.compile:
-                                      warm restarts and spawn workers load
+                                      names) -> LRU of compiled Engines,
+                                      with an optional persistent second
+                                      level of serialized artifacts
+                                      (repro.compile: warm restarts load
                                       instead of recompiling)
 
     sharding.Dispatcher               connected-component shards, balanced
@@ -58,7 +57,7 @@ kernel per shard from size and estimated activity; pass
 
 Configuration is one typed object — :class:`repro.api.ScanConfig` —
 consumed by the service, dispatcher, session, server protocol and CLI
-alike; legacy loose keywords still work through deprecation shims.
+alike; it is the only way to configure them.
 
 Quick use::
 

@@ -7,14 +7,13 @@ content (see :func:`repro.compile.fingerprint.ruleset_fingerprint`,
 canonically defined there and re-exported here) and memoizing the
 compiled artifacts behind it, at two levels:
 
-1. an in-process LRU of live Python objects — reference
-   :class:`Engine`\\ s, CAMA :class:`CamaProgram`\\ s and
-   :class:`CamaMachine`\\ s — bounded by entry count;
+1. an in-process LRU of compiled :class:`Engine`\\ s, bounded by
+   entry count;
 2. optionally, a persistent on-disk :class:`~repro.compile.store.
    ArtifactStore` of serialized :class:`~repro.compile.artifact.
    CompiledArtifact`\\ s, bounded by bytes and keyed by fingerprint
-   *plus compile options*, so a warm restart (or a spawn worker, or a
-   remote client upload) skips compilation entirely.
+   *plus compile options*, so a warm restart (or a remote client
+   upload) skips compilation entirely.
 
 Two rulesets that define the same language share one cache entry; the
 same ruleset compiled under different pipeline options never does.
@@ -33,14 +32,11 @@ from repro.api.config import DEFAULT_CACHE_CAPACITY
 from repro.automata.nfa import Automaton
 from repro.compile.artifact import CompiledArtifact
 from repro.compile.fingerprint import ruleset_fingerprint
-from repro.compile.ir import CompiledRuleset, PipelineOptions
+from repro.compile.ir import PipelineOptions
 from repro.compile.pipeline import compile_ruleset
 from repro.compile.store import ArtifactStore
-from repro.core.compiler import CamaProgram, compile_automaton
-from repro.core.machine import CamaMachine
 from repro.errors import ConfigError, ReproError
 from repro.sim.backends import ExecutionBackend
-from repro.sim.backends.base import KernelTables
 from repro.sim.engine import Engine
 from repro.telemetry.metrics import default_registry
 
@@ -80,10 +76,10 @@ class RulesetManager:
 
     One manager serves every tenant of a :class:`~repro.service.service.
     MatchingService`; ``capacity`` bounds the resident compiled rulesets
-    (each entry holds a 256 x n match table and, for CAMA programs, the
-    mapped CAM fabric), evicting least-recently-used first.  With a
-    ``store``, evicted-then-re-requested (or never-seen-this-process)
-    rulesets load from disk instead of recompiling.
+    (each entry holds an engine's match tables), evicting
+    least-recently-used first.  With a ``store``,
+    evicted-then-re-requested (or never-seen-this-process) rulesets
+    load from disk instead of recompiling.
 
     Args:
         capacity: max resident in-memory entries.
@@ -142,27 +138,6 @@ class RulesetManager:
     def artifact_key(self, automaton: Automaton) -> str:
         """The one artifact key of ``automaton`` (any backend)."""
         return ruleset_fingerprint(automaton, self.options)
-
-    def ensure_artifact(self, automaton: Automaton) -> Path | None:
-        """Guarantee the ruleset's artifact is on disk.
-
-        Returns its path — serializing freshly derived kernel tables
-        when absent (no pipeline recompile) — or None when the manager
-        has no store.  This is what lets the sharded dispatcher ship
-        artifacts to spawn workers instead of pickled engines.
-        """
-        if self.store is None:
-            return None
-        key = self.artifact_key(automaton)
-        if self.store.contains(key):
-            return self.store.path(key)
-        compiled = CompiledRuleset(
-            automaton=automaton,
-            options=self.options,
-            key=key,
-            tables=KernelTables.from_automaton(automaton),
-        )
-        return self.store.put(CompiledArtifact.from_compiled(compiled))
 
     def seed_engine(
         self,
@@ -229,36 +204,6 @@ class RulesetManager:
             return compiled.engine(backend)
 
         return self._get(key, build)
-
-    def program(self, automaton: Automaton) -> CamaProgram:
-        """The cached compiled :class:`CamaProgram` for ``automaton``."""
-        key = ("program", ruleset_fingerprint(automaton))
-
-        def build() -> CamaProgram:
-            if self.store is None:
-                return compile_automaton(automaton)
-            artifact = self.store.get(self.artifact_key(automaton))
-            if artifact is not None and artifact.manifest.get("program"):
-                try:
-                    program = artifact.program()
-                except ReproError:
-                    pass  # unusable program tables: recompile below
-                else:
-                    self.stats.disk_hits += 1
-                    _CACHE_EVENTS.labels("disk", "hit").inc()
-                    return program
-            self.stats.disk_misses += 1
-            _CACHE_EVENTS.labels("disk", "miss").inc()
-            compiled = compile_ruleset(automaton, self.options)
-            self.store.put(CompiledArtifact.from_compiled(compiled))
-            return compiled.program
-
-        return self._get(key, build)
-
-    def machine(self, automaton: Automaton, variant: str = "E") -> CamaMachine:
-        """A cached :class:`CamaMachine` (compiling the program if needed)."""
-        key = (f"machine-{variant}", ruleset_fingerprint(automaton))
-        return self._get(key, lambda: CamaMachine(self.program(automaton), variant))
 
     def clear(self) -> None:
         """Drop the in-memory level (the disk store, if any, persists)."""

@@ -38,7 +38,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.api.config import ScanConfig, resolve_legacy_config
+from repro.api.config import ScanConfig
 from repro.automata.glushkov import compile_regex_set
 from repro.automata.mnrl import loads_mnrl
 from repro.errors import ConfigError, ReproError, SimulationError
@@ -156,7 +156,7 @@ class MatchingServer:
 
     Args:
         service: the service to expose; one is built from ``config``
-            (or the deprecated loose keywords) when omitted.
+            when omitted.
         config: the :class:`~repro.api.config.ScanConfig` for the
             service built when ``service`` is omitted.
         host, port: bind address (``port=0`` picks a free port; read the
@@ -168,11 +168,6 @@ class MatchingServer:
         executor_workers: thread-pool size for matching work.
         allow_shutdown: honour the ``shutdown`` frame (handy for tests
             and benchmarks; disable for long-lived deployments).
-        num_shards, workers, backend, artifact_store,
-            default_max_reports: deprecated loose keywords; a
-            :class:`ScanConfig` is built from them (with a
-            :class:`DeprecationWarning`) when both ``service`` and
-            ``config`` are omitted.
     """
 
     def __init__(
@@ -186,27 +181,11 @@ class MatchingServer:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         executor_workers: int = 4,
         allow_shutdown: bool = True,
-        num_shards: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-        artifact_store=None,
-        default_max_reports: int | None = None,
     ) -> None:
         if max_frame_bytes < 1024:
             raise ConfigError("max_frame_bytes must be >= 1024")
         if max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
-        config = resolve_legacy_config(
-            "MatchingServer",
-            config,
-            {
-                "num_shards": num_shards,
-                "workers": workers,
-                "backend": backend,
-                "artifact_store": artifact_store,
-                "_default_max_reports": default_max_reports,
-            },
-        )
         if service is None:
             service = MatchingService(
                 config if config is not None else ScanConfig()
@@ -829,7 +808,7 @@ class MatchingServer:
             name=name,
             internal=internal,
             on_truncation=cfg.on_truncation,
-            max_reports=session.max_reports,
+            max_reports=session.config.max_reports,
             checkpoint=bool(frame.get("checkpoint")),
         )
         payload = {"session": name, "position": session.position}
@@ -1010,33 +989,7 @@ class BackgroundServer:
             client = MatchingClient(port=bg.port)
     """
 
-    #: the service-shaped legacy kwargs this wrapper resolves itself, so
-    #: the deprecation warning is attributed to *its* caller instead of
-    #: this module's forwarding frame (the CI gate errors on repro.*)
-    _LEGACY_SERVICE_KWARGS = (
-        "num_shards",
-        "workers",
-        "backend",
-        "artifact_store",
-        "default_max_reports",
-    )
-
     def __init__(self, server: MatchingServer | None = None, **kwargs) -> None:
-        if server is None:
-            legacy = {
-                (
-                    "_default_max_reports"
-                    if name == "default_max_reports"
-                    else name
-                ): kwargs.pop(name)
-                for name in self._LEGACY_SERVICE_KWARGS
-                if name in kwargs
-            }
-            config = resolve_legacy_config(
-                "BackgroundServer", kwargs.pop("config", None), legacy
-            )
-            if config is not None:
-                kwargs["config"] = config
         self.server = server if server is not None else MatchingServer(**kwargs)
         self.loop: asyncio.AbstractEventLoop | None = None
         self.port: int | None = None

@@ -16,7 +16,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.api.config import ScanConfig, resolve_legacy_config
+from repro.api.config import ScanConfig
 from repro.automata.nfa import Automaton
 from repro.compile.incremental import (
     ComposedRuleset,
@@ -27,7 +27,6 @@ from repro.errors import SimulationError
 from repro.service.ruleset import CacheStats, RulesetManager
 from repro.service.session import Session
 from repro.service.sharding import Dispatcher
-from repro.sim.backends import ExecutionBackend
 from repro.sim.backends.base import check_truncation_policy, handle_truncation
 from repro.sim.reports import Report
 from repro.sim.trace import TraceStats
@@ -135,51 +134,17 @@ class MatchingService:
     Args:
         config: the :class:`~repro.api.config.ScanConfig` driving this
             service — backend policy, sharding, workers, chunking, the
-            default kept-reports cap and truncation policy, the
-            persistent artifact store, and the multiprocessing start
-            method.  One validated object replaces the former keyword
-            sprawl; see :class:`ScanConfig` for field semantics.
-        cache_capacity, num_shards, workers, chunk_size, backend,
-            artifact_store, default_max_reports, on_truncation,
-            mp_start_method: deprecated loose keywords; a
-            :class:`ScanConfig` is built from them (with a
-            :class:`DeprecationWarning`) when ``config`` is omitted.
-            ``default_max_reports`` maps to ``ScanConfig.max_reports``.
+            default kept-reports cap and truncation policy, and the
+            persistent artifact store (see :class:`ScanConfig` for field
+            semantics; None = the defaults).  Read the options back
+            from :attr:`config`.
 
     The service is safe to share across threads: compiled-artifact
     acquisition and the session table are lock-protected, while scans
     themselves run concurrently (the compiled kernels are read-only).
     """
 
-    def __init__(
-        self,
-        config: ScanConfig | None = None,
-        *,
-        cache_capacity: int | None = None,
-        num_shards: int | None = None,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        backend: str | ExecutionBackend | None = None,
-        artifact_store=None,
-        default_max_reports: int | None = None,
-        on_truncation: str | None = None,
-        mp_start_method: str | None = None,
-    ) -> None:
-        config = resolve_legacy_config(
-            "MatchingService",
-            config,
-            {
-                "cache_capacity": cache_capacity,
-                "num_shards": num_shards,
-                "workers": workers,
-                "chunk_size": chunk_size,
-                "backend": backend,
-                "artifact_store": artifact_store,
-                "_default_max_reports": default_max_reports,
-                "on_truncation": on_truncation,
-                "mp_start_method": mp_start_method,
-            },
-        )
+    def __init__(self, config: ScanConfig | None = None) -> None:
         self.config = config if config is not None else ScanConfig()
         self.manager = RulesetManager(
             capacity=self.config.cache_capacity,
@@ -196,10 +161,6 @@ class MatchingService:
         # double-compile one ruleset nor race the manager's LRU — without
         # stalling cache-hit lookups (which only take ``_lock``)
         self._compile_lock = threading.Lock()
-        # dispatchers evicted while their worker pool exists retire here
-        # (terminating a pool mid-scan would kill another thread's work);
-        # they are closed with the service
-        self._retired: list[Dispatcher] = []
         # hardware-ledger reference material — (DesignBuild, sparse
         # reference Engine) per (fingerprint, design) — shares the
         # manager's LRU bound; guarded by _compile_lock (placement +
@@ -224,35 +185,6 @@ class MatchingService:
             store=self.manager.store, options=self.manager.options
         )
         self.closed = False
-
-    # -- config views (the pre-facade attribute surface) ------------------
-    @property
-    def num_shards(self) -> int:
-        return self.config.num_shards
-
-    @property
-    def workers(self) -> int:
-        return self.config.workers
-
-    @property
-    def chunk_size(self) -> int:
-        return self.config.chunk_size
-
-    @property
-    def backend(self) -> str | ExecutionBackend:
-        return self.config.backend
-
-    @property
-    def mp_start_method(self) -> str | None:
-        return self.config.mp_start_method
-
-    @property
-    def default_max_reports(self) -> int:
-        return self.config.max_reports
-
-    @property
-    def on_truncation(self) -> str:
-        return self.config.on_truncation
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -292,13 +224,10 @@ class MatchingService:
             evicted = None
             if len(self._dispatchers) > self.manager.capacity:
                 _, evicted = self._dispatchers.popitem(last=False)
-                if evicted._pool is not None:
-                    # another thread may be mid-scan on this pool;
-                    # retire it and close with the service instead
-                    self._retired.append(evicted)
-                    evicted = None
         if evicted is not None:
-            evicted.close()
+            # another thread may be mid-scan on its pool; retiring
+            # closes the pool when that scan finishes
+            evicted.retire()
 
     def _cached_dispatcher(self, key: str) -> Dispatcher | None:
         with self._lock:
@@ -388,8 +317,8 @@ class MatchingService:
             self.manager.store.put(artifact)
         self.manager.seed_engine(
             automaton,
-            self.backend,
-            artifact.engine(self.backend),
+            self.config.backend,
+            artifact.engine(self.config.backend),
             fingerprint=handle,
         )
         return handle, automaton
@@ -528,9 +457,7 @@ class MatchingService:
     def _compile_incremental(self, automaton: Automaton) -> ComposedRuleset:
         with self._compile_lock:
             return self._incremental.compile(
-                automaton,
-                workers=self.workers,
-                mp_start_method=self.mp_start_method,
+                automaton, workers=self.config.workers
             )
 
     def _bind_dispatcher(
@@ -606,11 +533,8 @@ class MatchingService:
             )
             if not still_keyed:
                 evict = self._dispatchers.pop(record.fingerprint, None)
-                if evict is not None and evict._pool is not None:
-                    self._retired.append(evict)
-                    evict = None
         if evict is not None:
-            evict.close()
+            evict.retire()
         self._unpin(record)
         _RULESET_VERSIONS.labels().dec()
 
@@ -638,7 +562,7 @@ class MatchingService:
         service config's telemetry fields for this call (None = keep).
         """
         policy = (
-            self.on_truncation
+            self.config.on_truncation
             if on_truncation is None
             else check_truncation_policy(on_truncation)
         )
@@ -652,8 +576,8 @@ class MatchingService:
         key = self.manager.fingerprint(automaton)
         cached = key in self._dispatchers
         explicit = max_reports is not None
-        cap = max_reports if explicit else self.default_max_reports
-        size = self.chunk_size if chunk_size is None else chunk_size
+        cap = max_reports if explicit else self.config.max_reports
+        size = self.config.chunk_size if chunk_size is None else chunk_size
         trace = Trace() if want_trace else None
         ledger = None
 
@@ -783,13 +707,13 @@ class MatchingService:
         from repro.service.merge import accumulate_stats
 
         policy = (
-            self.on_truncation
+            self.config.on_truncation
             if on_truncation is None
             else check_truncation_policy(on_truncation)
         )
         explicit = max_reports is not None
-        cap = max_reports if explicit else self.default_max_reports
-        size = self.chunk_size if chunk_size is None else chunk_size
+        cap = max_reports if explicit else self.config.max_reports
+        size = self.config.chunk_size if chunk_size is None else chunk_size
         key = self.manager.fingerprint(automaton)
         cached = key in self._dispatchers
         dispatcher = self.dispatcher(automaton, key=key)
@@ -949,9 +873,10 @@ class MatchingService:
 
         Idempotent and safe after a scan or feed raised mid-stream:
         every open session is closed (its accumulated result is
-        discarded), every dispatcher — including any the LRU already
-        evicted — releases its worker pool, and later use of the
-        service raises instead of silently recompiling.
+        discarded), every cached dispatcher releases its worker pool
+        (evicted ones already did, or do when their last scan ends), and
+        later use of the service raises instead of silently
+        recompiling.
         """
         with self._lock:
             if self.closed:
@@ -959,9 +884,8 @@ class MatchingService:
             self.closed = True
             sessions = list(self.sessions.values())
             self.sessions.clear()
-            dispatchers = list(self._dispatchers.values()) + self._retired
+            dispatchers = list(self._dispatchers.values())
             self._dispatchers.clear()
-            self._retired = []
             records = [r for vs in self._lineages.values() for r in vs]
             self._lineages.clear()
             self._version_by_fp.clear()

@@ -12,7 +12,7 @@ sessions'.
 
 from __future__ import annotations
 
-from repro.api.config import ScanConfig, resolve_legacy_config
+from repro.api.config import ScanConfig
 from repro.errors import SimulationError
 from repro.service.merge import accumulate_stats
 from repro.service.sharding import Dispatcher, iter_chunks
@@ -48,8 +48,7 @@ class Session:
     chunk that loses a report to the cap does — mark the session
     ``truncated`` and raise a :class:`ReportTruncationWarning`
     (``"warn"``, the default), a :class:`~repro.errors.SimulationError`
-    (``"error"``), or nothing (``"ignore"``).  ``max_reports`` /
-    ``on_truncation`` loose keywords are deprecated shims.
+    (``"error"``), or nothing (``"ignore"``).
 
     Sessions are context managers: leaving the ``with`` block closes
     the stream (the accumulated result stays readable via
@@ -62,15 +61,8 @@ class Session:
         dispatcher: Dispatcher,
         config: ScanConfig | None = None,
         *,
-        max_reports: int | None = None,
-        on_truncation: str | None = None,
         ledger_probe=None,
     ) -> None:
-        config = resolve_legacy_config(
-            "Session",
-            config,
-            {"max_reports": max_reports, "on_truncation": on_truncation},
-        )
         self.config = config if config is not None else ScanConfig()
         self.name = name
         self.dispatcher = dispatcher
@@ -95,14 +87,6 @@ class Session:
         self._ledger_probe = ledger_probe
 
     @property
-    def max_reports(self) -> int:
-        return self.config.max_reports
-
-    @property
-    def on_truncation(self) -> str:
-        return self.config.on_truncation
-
-    @property
     def position(self) -> int:
         """Bytes of this stream consumed so far."""
         return self._states[0].position if self._states else 0
@@ -119,7 +103,7 @@ class Session:
     @property
     def report_budget(self) -> int:
         """Reports this stream may still record before hitting its cap."""
-        return max(0, self.max_reports - len(self._reports))
+        return max(0, self.config.max_reports - len(self._reports))
 
     @property
     def shard_states(self):
@@ -160,9 +144,9 @@ class Session:
         if result.truncated and not self.truncated:
             self.truncated = True
             handle_truncation(
-                self.on_truncation,
+                self.config.on_truncation,
                 f"session {self.name!r} hit its kept-reports cap "
-                f"({self.max_reports}); further reports are counted "
+                f"({self.config.max_reports}); further reports are counted "
                 f"but not recorded",
                 stacklevel=3,
             )

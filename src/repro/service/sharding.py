@@ -27,17 +27,13 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.api.config import (
-    DEFAULT_CHUNK_SIZE,
-    ScanConfig,
-    resolve_legacy_config,
-)
+from repro.api.config import DEFAULT_CHUNK_SIZE, ScanConfig
 from repro.automata.analysis import balanced_shards, connected_components
 from repro.automata.nfa import Automaton
 from repro.errors import ConfigError, SimulationError
 from repro.service.merge import accumulate_stats, merge_shard_results
 from repro.service.ruleset import RulesetManager
-from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS, ExecutionBackend
+from repro.sim.backends import DEFAULT_MAX_KEPT_REPORTS
 from repro.sim.engine import Engine, EngineState, SimulationResult
 from repro.sim.trace import TraceStats
 from repro.telemetry.metrics import default_registry
@@ -146,26 +142,9 @@ _WORKER_ENGINES: list[Engine] = []
 
 def _init_worker(engines: list[Engine]) -> None:
     # Engines arrive pre-compiled from the parent: shared copy-on-write
-    # pages under fork, pickled once per worker under spawn.
+    # pages under fork, pickled once per worker otherwise.
     global _WORKER_ENGINES
     _WORKER_ENGINES = engines
-
-
-def _init_worker_artifacts(blobs: list[bytes], backend) -> None:
-    # Spawn path with an artifact store: the parent ships the
-    # per-shard serialized artifacts; each worker reconstructs its
-    # engines from the tables — no engine pickling, and the same bytes
-    # any other process (or machine sharing the store) would load.
-    # Bytes, not paths: the store's LRU may evict a file between pool
-    # creation and worker start, and a vanished path would wedge the
-    # pool.  Artifacts are backend-neutral: the worker builds each
-    # shard's kernel on the dispatcher's configured backend.
-    from repro.compile.artifact import CompiledArtifact
-
-    global _WORKER_ENGINES
-    _WORKER_ENGINES = [
-        CompiledArtifact.from_bytes(blob).engine(backend) for blob in blobs
-    ]
 
 
 def _scan_shard(task: tuple[int, bytes, int, int]) -> SimulationResult:
@@ -195,20 +174,8 @@ class Dispatcher:
                 resolves *per shard*: each shard's sub-automaton is
                 sized and density-estimated independently, so one
                 ruleset can mix sparse and bit-parallel kernels.
-            ``mp_start_method``
-                multiprocessing start method for the worker pool (None
-                = platform default).  Under ``spawn`` (or
-                ``forkserver``) with a manager that has an artifact
-                store, workers receive the per-shard *serialized
-                artifacts* and rebuild their engines from the tables
-                instead of having whole engines pickled to them; under
-                ``fork`` the engines arrive as copy-on-write pages,
-                which is already free.
         manager: optional shared :class:`RulesetManager`; shard engines
             are then cached by fingerprint and survive this dispatcher.
-        num_shards, workers, backend, mp_start_method: deprecated loose
-            keywords; a :class:`ScanConfig` is built from them (with a
-            :class:`DeprecationWarning`) when ``config`` is omitted.
     """
 
     def __init__(
@@ -218,21 +185,7 @@ class Dispatcher:
         *,
         manager: RulesetManager | None = None,
         prebuilt: "tuple[list[Shard], list[Engine]] | None" = None,
-        num_shards: int | None = None,
-        workers: int | None = None,
-        backend: str | ExecutionBackend | None = None,
-        mp_start_method: str | None = None,
     ) -> None:
-        config = resolve_legacy_config(
-            "Dispatcher",
-            config,
-            {
-                "num_shards": num_shards,
-                "workers": workers,
-                "backend": backend,
-                "mp_start_method": mp_start_method,
-            },
-        )
         self.config = config if config is not None else ScanConfig()
         self.automaton = automaton
         if prebuilt is not None:
@@ -254,6 +207,10 @@ class Dispatcher:
         self._manager = manager
         self._engines: list[Engine] | None = None
         self._pool: multiprocessing.pool.Pool | None = None
+        # pool scans running now, and whether the owner let go of this
+        # dispatcher: a retired pool closes when its last scan finishes
+        self._pool_scans = 0
+        self._retired = False
         # engine compilation and pool creation are check-then-create;
         # concurrent scans (e.g. server executor threads) must not race
         # them or a duplicate pool's processes would leak unterminated.
@@ -262,15 +219,6 @@ class Dispatcher:
         self.num_dropped_states = len(automaton) - sum(
             len(s.global_ids) for s in self.shards
         )
-
-    @property
-    def backend(self) -> str | ExecutionBackend:
-        """The configured execution-backend policy."""
-        return self.config.backend
-
-    @property
-    def mp_start_method(self) -> str | None:
-        return self.config.mp_start_method
 
     @property
     def num_shards(self) -> int:
@@ -282,16 +230,17 @@ class Dispatcher:
         if self._engines is None:
             with self._compile_lock:
                 if self._engines is None:
+                    backend = self.config.backend
                     if self._prebuilt_engines is not None:
                         self._engines = self._prebuilt_engines
                     elif self._manager is not None:
                         self._engines = [
-                            self._manager.engine(s.automaton, self.backend)
+                            self._manager.engine(s.automaton, backend)
                             for s in self.shards
                         ]
                     else:
                         self._engines = [
-                            Engine(s.automaton, backend=self.backend)
+                            Engine(s.automaton, backend=backend)
                             for s in self.shards
                         ]
         return self._engines
@@ -401,15 +350,21 @@ class Dispatcher:
                 (shard.index, data, chunk_size, max_reports)
                 for shard in self.shards
             ]
-            if trace is not None:
-                # worker-process kernel spans cannot cross the pickle
-                # boundary; one span records the whole fan-out instead
-                with trace.span(
-                    "dispatcher.pool", shards=len(self.shards), workers=self.workers
-                ):
-                    per_shard = self._worker_pool().map(_scan_shard, tasks)
-            else:
-                per_shard = self._worker_pool().map(_scan_shard, tasks)
+            pool = self._acquire_pool()
+            try:
+                if trace is not None:
+                    # worker-process kernel spans cannot cross the pickle
+                    # boundary; one span records the whole fan-out instead
+                    with trace.span(
+                        "dispatcher.pool",
+                        shards=len(self.shards),
+                        workers=self.workers,
+                    ):
+                        per_shard = pool.map(_scan_shard, tasks)
+                else:
+                    per_shard = pool.map(_scan_shard, tasks)
+            finally:
+                self._release_pool()
         else:
             _DISPATCH_SCANS.labels("serial").inc()
             _SHARD_RUNS.labels("serial").inc(len(self.shards))
@@ -431,55 +386,39 @@ class Dispatcher:
                     )
         return self._merge_capped(per_shard, max_reports)
 
-    def _worker_pool(self) -> "multiprocessing.pool.Pool":
-        """The persistent worker pool, created on first parallel scan.
+    def _acquire_pool(self) -> "multiprocessing.pool.Pool":
+        """The persistent worker pool, created on first parallel scan,
+        counted as in use until the matching :meth:`_release_pool`.
 
-        Compiled engines ship to the workers exactly once — as
-        copy-on-write pages under fork, or (with an artifact store and
-        a non-fork start method) as per-shard serialized artifacts the
-        workers rebuild engines from; only storeless spawn pools fall
-        back to pickling whole engines.  Repeat scans pay neither pool
-        startup nor recompilation.  Release with :meth:`close`.
+        Compiled engines ship to the workers exactly once, as the
+        initializer's arguments (copy-on-write pages under fork).
+        Repeat scans pay neither pool startup nor recompilation.
         """
         with self._compile_lock:
             if self._pool is None:
-                ctx = multiprocessing.get_context(self.mp_start_method)
-                initializer = initargs = None
-                if ctx.get_start_method() != "fork":
-                    blobs = self._shard_artifact_blobs()
-                    if blobs is not None:
-                        initializer = _init_worker_artifacts
-                        initargs = (blobs, self.backend)
-                if initializer is None:
-                    # fork (engines ship as copy-on-write pages) or no
-                    # shippable artifacts; only now force the parent
-                    # compile — with a warm store the blobs above come
-                    # straight off disk and the parent builds nothing
-                    initializer, initargs = _init_worker, (self.engines,)
-                self._pool = ctx.Pool(
+                self._pool = multiprocessing.Pool(
                     processes=self.workers,
-                    initializer=initializer,
-                    initargs=initargs,
+                    initializer=_init_worker,
+                    initargs=(self.engines,),
                 )
+            self._pool_scans += 1
             return self._pool
 
-    def _shard_artifact_blobs(self) -> list[bytes] | None:
-        """Per-shard serialized artifacts for worker shipping, or None
-        when unavailable (no manager/store, or a store whose LRU evicted
-        a shard mid-collection — e.g. a byte budget smaller than the
-        combined shard artifacts)."""
-        if self._manager is None:
-            return None
-        blobs = []
-        for shard in self.shards:
-            path = self._manager.ensure_artifact(shard.automaton)
-            if path is None:
-                return None
-            try:
-                blobs.append(path.read_bytes())
-            except OSError:  # evicted between ensure and read
-                return None
-        return blobs
+    def _release_pool(self) -> None:
+        with self._compile_lock:
+            self._pool_scans -= 1
+            if self._retired and self._pool_scans == 0:
+                self.close()
+
+    def retire(self) -> None:
+        """Let go of this dispatcher: its worker pool closes now, or
+        when the last pool scan still running finishes (terminating it
+        mid-scan would kill another thread's work).  A scan started
+        after retirement still works and closes its pool when done."""
+        with self._compile_lock:
+            self._retired = True
+            if self._pool_scans == 0:
+                self.close()
 
     def close(self) -> None:
         """Shut down the worker pool (no-op for serial dispatchers).

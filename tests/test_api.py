@@ -6,9 +6,8 @@ Covers the acceptance surface of the API redesign:
   ``to_dict``/``from_dict``/``digest`` (the wire-protocol and
   artifact-manifest form) and reject invalid values with
   ``ConfigError``;
-* the deprecation shims — old loose-kwarg signatures still work, emit
-  ``DeprecationWarning``, and produce byte-identical ``ServiceResult``s
-  against the oracle corpus;
+* ``ScanConfig`` as the only way in — the service-stack constructors
+  reject loose option keywords;
 * the ``Ruleset`` facade end to end: regex -> compile -> save -> load
   -> scan, streams, batch scans, and serving;
 * config objects travelling the wire: the server validates them through
@@ -19,7 +18,6 @@ import warnings
 
 import pytest
 
-from oracle import oracle_run
 from repro.api import CompileConfig, ConfigError, Ruleset, ScanConfig
 from repro.automata import compile_regex_set, glushkov_nfa
 from repro.compile import PipelineOptions, ruleset_fingerprint
@@ -38,28 +36,12 @@ from repro.sim import Engine
 RULES = {"r1": "(a|b)e*cd+", "r2": "abc", "r3": "x+y"}
 STREAM = b"aecdabcxxy" * 40
 
-#: the oracle corpus for shim-equivalence: (ruleset, input) pairs with
-#: different structure (multi-component, single pattern, dense repeats)
-CORPUS = [
-    (compile_regex_set(RULES, name="api-corpus"), STREAM),
-    (glushkov_nfa("(a|b)e*cd+", report_code="m"), b"aecd" * 25 + b"becdd"),
-    (compile_regex_set(["ab", "a+b", "ba*b"], name="dense"), b"ab" * 60),
-]
+#: (ruleset, input) pairs: a multi-component ruleset and its stream
+CORPUS = [(compile_regex_set(RULES, name="api-corpus"), STREAM)]
 
 
 def report_keys(reports):
     return [(r.cycle, r.state_id, r.code) for r in reports]
-
-
-def assert_same_service_result(a, b):
-    """Byte-identical modulo wall-clock: reports, stats, shard/backends."""
-    assert report_keys(a.reports) == report_keys(b.reports)
-    assert a.num_reports == b.num_reports
-    assert a.stats.num_cycles == b.stats.num_cycles
-    assert a.num_shards == b.num_shards
-    assert a.backends == b.backends
-    assert a.truncated == b.truncated
-    assert a.bytes_scanned == b.bytes_scanned
 
 
 class TestCompileConfig:
@@ -108,7 +90,6 @@ class TestScanConfig:
             max_reports=123,
             on_truncation="error",
             artifact_store=str(tmp_path),
-            mp_start_method="spawn",
         )
         back = ScanConfig.from_dict(cfg.to_dict())
         assert back == cfg
@@ -141,7 +122,7 @@ class TestScanConfig:
             {"on_truncation": "explode"},
             {"backend": "gpu"},
             {"backend": 7},
-            {"mp_start_method": "teleport"},
+            {"batch_max_rows": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -151,6 +132,9 @@ class TestScanConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown scan options"):
             ScanConfig.from_dict({"shards": 2})
+        # pools use the platform's start method; there is no option
+        with pytest.raises(ConfigError, match="unknown scan options"):
+            ScanConfig.from_dict({"mp_start_method": None})
 
     def test_merged_ignores_none(self):
         cfg = ScanConfig(num_shards=3, chunk_size=128)
@@ -161,86 +145,29 @@ class TestScanConfig:
         assert cfg.merged() is cfg
 
 
-class TestDeprecationShims:
-    def test_service_kwargs_warn_and_match_config(self):
-        for nfa, data in CORPUS:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                legacy = MatchingService(num_shards=2, chunk_size=37)
-            with legacy:
-                old = legacy.scan(nfa, data)
-            with MatchingService(
-                ScanConfig(num_shards=2, chunk_size=37)
-            ) as service:
-                new = service.scan(nfa, data)
-            assert_same_service_result(old, new)
-            # both must agree with the naive oracle, not just each other
-            assert [
-                (r.cycle, r.state_id) for r in new.reports
-            ] == [(r.cycle, r.state_id) for r in oracle_run(nfa, data).reports]
-
-    def test_default_max_reports_maps_to_max_reports(self):
-        with pytest.warns(DeprecationWarning):
-            service = MatchingService(default_max_reports=5)
-        assert service.config.max_reports == 5
-        assert service.default_max_reports == 5
-
-    def test_dispatcher_kwargs_warn_and_match_config(self):
-        nfa, data = CORPUS[0]
-        with pytest.warns(DeprecationWarning):
-            with Dispatcher(nfa, num_shards=3, workers=2) as old_d:
-                old = old_d.scan(data)
-        with Dispatcher(nfa, ScanConfig(num_shards=3, workers=2)) as new_d:
-            new = new_d.scan(data)
-        assert report_keys(old.reports) == report_keys(new.reports)
-        assert old.stats.num_reports == new.stats.num_reports
-
-    def test_session_kwargs_warn(self):
-        nfa, data = CORPUS[1]
-        dispatcher = Dispatcher(nfa, ScanConfig())
-        with pytest.warns(DeprecationWarning):
-            session = Session("legacy", dispatcher, max_reports=3)
-        assert session.max_reports == 3
-        session.close()
-
-    def test_server_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            server = MatchingServer(num_shards=2)
-        assert server.service.config.num_shards == 2
-        server.service.close()
-
-    def test_config_and_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ConfigError, match="not both"):
-            MatchingService(ScanConfig(), num_shards=2)
-        with pytest.raises(ConfigError, match="not both"):
-            Dispatcher(CORPUS[0][0], ScanConfig(), num_shards=2)
-
-    def test_shim_warning_attributes_to_the_caller(self):
-        # the CI deprecation gate relies on this: internal repro modules
-        # never hit a shim, so a warning's attributed module (set via
-        # stacklevel) is the *caller's*, i.e. this test file
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MatchingService(num_shards=2).close()
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and w.filename == __file__
-            for w in caught
-        )
-
-    def test_background_server_shim_attributes_to_the_caller(self):
-        # BackgroundServer forwards **kwargs from inside repro.service;
-        # it must resolve legacy kwargs itself so the warning points
-        # here, not at the library's forwarding frame
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            background = BackgroundServer(num_shards=2)
-        background.server.service.close()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations
-        assert all(w.filename == __file__ for w in deprecations)
-        assert background.server.service.config.num_shards == 2
+class TestScanConfigIsTheOnlyWayIn:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MatchingService(num_shards=2),
+            lambda: Dispatcher(CORPUS[0][0], num_shards=2),
+            lambda: Session(
+                "s", Dispatcher(CORPUS[0][0], ScanConfig()), max_reports=3
+            ),
+            lambda: MatchingServer(num_shards=2),
+            lambda: BackgroundServer(num_shards=2),
+        ],
+        ids=[
+            "MatchingService",
+            "Dispatcher",
+            "Session",
+            "MatchingServer",
+            "BackgroundServer",
+        ],
+    )
+    def test_loose_option_keywords_are_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestRulesetFacade:
@@ -388,18 +315,19 @@ class TestWireConfig:
         with BackgroundServer(config=ScanConfig()) as bg:
             with MatchingClient(port=bg.port) as client:
                 handle = client.register(RULES)
-                frame_cfg = ScanConfig().to_dict()
-                frame_cfg["chunk_size"] = 0
-                with pytest.raises(RemoteError) as excinfo:
-                    client._request(
-                        {
-                            "op": "scan",
-                            "handle": handle,
-                            "data": "",
-                            "config": frame_cfg,
-                        }
-                    )
-                assert excinfo.value.code == "bad-request"
+                # an invalid value, and an option that no longer exists
+                for bad in ({"chunk_size": 0}, {"mp_start_method": None}):
+                    frame_cfg = {**ScanConfig().to_dict(), **bad}
+                    with pytest.raises(RemoteError) as excinfo:
+                        client._request(
+                            {
+                                "op": "scan",
+                                "handle": handle,
+                                "data": "",
+                                "config": frame_cfg,
+                            }
+                        )
+                    assert excinfo.value.code == "bad-request"
 
     def test_loose_fields_win_over_config(self):
         with BackgroundServer(config=ScanConfig()) as bg:

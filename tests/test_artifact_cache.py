@@ -1,16 +1,17 @@
-"""RulesetManager two-level caching, artifact-shipping dispatch, and
+"""RulesetManager two-level caching, store-backed dispatch, and
 service-level artifact registration.
 
 Covers the cache-interplay contract: eviction of a live-referenced
 engine leaves the caller's engine working; a disk store turns
 evictions and process restarts into loads instead of recompiles;
 corrupt or version-skewed artifacts fall back to recompilation (never
-a wrong answer); spawn workers fed artifact paths scan byte-identically
-to serial dispatch; an uploaded artifact seeds the service cache.
+a wrong answer); a pooled scan stays byte-identical to serial dispatch
+under store eviction; an uploaded artifact seeds the service cache.
 """
 
 import pytest
 
+from repro.api import ScanConfig
 from repro.automata import compile_regex_set
 from repro.compile import (
     ARTIFACT_FORMAT_VERSION,
@@ -18,7 +19,6 @@ from repro.compile import (
     CompiledArtifact,
     compile_ruleset,
 )
-from repro.api import ScanConfig
 from repro.service import Dispatcher, MatchingService, RulesetManager
 from repro.sim.backends.native import native_available
 from repro.sim.engine import Engine
@@ -131,75 +131,32 @@ class TestManagerDiskCache:
 
     def test_program_round_trips_through_store(self, ruleset_a, tmp_path):
         store = ArtifactStore(tmp_path)
-        summary = RulesetManager(store=store).program(ruleset_a).summary()
-        fresh = RulesetManager(store=store)
-        assert fresh.program(ruleset_a).summary() == summary
-        assert fresh.stats.disk_hits == 1
-
-    def test_ensure_artifact_serializes_resident_engine(self, ruleset_a, tmp_path):
-        # engine compiled while no store was attached; ensure_artifact
-        # must serialize it without recompiling
-        manager = RulesetManager()
-        manager.engine(ruleset_a, "sparse")
-        manager.store = ArtifactStore(tmp_path)
-        path = manager.ensure_artifact(ruleset_a)
-        assert path is not None and path.exists()
-        assert manager.stats.disk_misses == 0
-        loaded = CompiledArtifact.load(path)
-        assert keys_of(loaded.engine().run(STREAM).reports) == keys_of(
-            Engine(ruleset_a).run(STREAM).reports
+        manager = RulesetManager(store=store)
+        manager.engine(ruleset_a, "sparse")  # compiles and stores
+        stored = store.get(manager.artifact_key(ruleset_a))
+        assert stored is not None
+        assert stored.program().summary() == (
+            compile_ruleset(ruleset_a).program.summary()
         )
 
 
 class TestArtifactDispatch:
-    def test_spawn_workers_load_artifacts(self, ruleset_a, tmp_path):
-        manager = RulesetManager(store=ArtifactStore(tmp_path))
-        with Dispatcher(ruleset_a, num_shards=2, manager=manager) as serial:
-            expected = serial.scan(STREAM, chunk_size=512)
-        with Dispatcher(
-            ruleset_a,
-            num_shards=2,
-            workers=2,
-            manager=manager,
-            mp_start_method="spawn",
-        ) as dispatcher:
-            assert dispatcher._shard_artifact_blobs() is not None
-            result = dispatcher.scan(STREAM, chunk_size=512)
-        assert keys_of(result.reports) == keys_of(expected.reports)
-        assert result.stats.num_cycles == expected.stats.num_cycles
-
     def test_tiny_store_budget_survives_shard_eviction(
         self, ruleset_a, tmp_path
     ):
         # a byte budget too small for the combined shard artifacts: the
-        # LRU evicts earlier shards while later ones are written, but
-        # workers ship *bytes* captured before the eviction, so the
-        # pool neither breaks nor depends on the files surviving
+        # LRU evicts earlier shards while later ones are written, and a
+        # pooled scan over the resident engines stays correct
         store = ArtifactStore(tmp_path, max_bytes=1)
         manager = RulesetManager(store=store)
-        with Dispatcher(ruleset_a, num_shards=2, manager=manager) as serial:
-            expected = serial.scan(STREAM, chunk_size=512)
         with Dispatcher(
-            ruleset_a,
-            num_shards=2,
-            workers=2,
-            manager=manager,
-            mp_start_method="spawn",
-        ) as dispatcher:
-            blobs = dispatcher._shard_artifact_blobs()
-            assert blobs is not None and len(blobs) == 2
-            assert store.stats.evictions >= 1  # the budget really bit
-            result = dispatcher.scan(STREAM, chunk_size=512)
-        assert keys_of(result.reports) == keys_of(expected.reports)
-
-    def test_spawn_without_store_still_correct(self, ruleset_a):
-        # no store: the pool falls back to pickled engines
-        with Dispatcher(ruleset_a, num_shards=2) as serial:
+            ruleset_a, ScanConfig(num_shards=2), manager=manager
+        ) as serial:
             expected = serial.scan(STREAM, chunk_size=512)
+        assert store.stats.evictions >= 1  # the budget really bit
         with Dispatcher(
-            ruleset_a, num_shards=2, workers=2, mp_start_method="spawn"
+            ruleset_a, ScanConfig(num_shards=2, workers=2), manager=manager
         ) as dispatcher:
-            assert dispatcher._shard_artifact_blobs() is None
             result = dispatcher.scan(STREAM, chunk_size=512)
         assert keys_of(result.reports) == keys_of(expected.reports)
 
@@ -208,14 +165,14 @@ class TestServiceArtifacts:
     def test_register_artifact_seeds_cache(self, ruleset_a):
         compiled = compile_ruleset(ruleset_a)
         artifact = CompiledArtifact.from_compiled(compiled)
-        with MatchingService(num_shards=1) as service:
+        with MatchingService(ScanConfig(num_shards=1)) as service:
             handle, automaton = service.register_artifact(artifact.to_bytes())
             assert handle == service.manager.fingerprint(ruleset_a)
             result = service.scan(automaton, STREAM)
             # the seeded engine served the scan: no compile happened
             assert service.manager.stats.misses == 0
             assert service.manager.stats.hits >= 1
-        with MatchingService(num_shards=1) as fresh:
+        with MatchingService(ScanConfig(num_shards=1)) as fresh:
             expected = fresh.scan(ruleset_a, STREAM)
         assert keys_of(result.reports) == keys_of(expected.reports)
 
@@ -223,7 +180,7 @@ class TestServiceArtifacts:
         artifact = CompiledArtifact.from_compiled(
             compile_ruleset(ruleset_a)
         )
-        with MatchingService(artifact_store=tmp_path) as service:
+        with MatchingService(ScanConfig(artifact_store=tmp_path)) as service:
             service.register_artifact(artifact)
             assert service.manager.store.contains(artifact.key)
 
@@ -255,9 +212,9 @@ class TestServiceArtifacts:
         ]
 
     def test_service_restart_with_store_is_warm(self, ruleset_a, tmp_path):
-        with MatchingService(artifact_store=tmp_path) as service:
+        with MatchingService(ScanConfig(artifact_store=tmp_path)) as service:
             expected = service.scan(ruleset_a, STREAM)
-        with MatchingService(artifact_store=tmp_path) as restarted:
+        with MatchingService(ScanConfig(artifact_store=tmp_path)) as restarted:
             result = restarted.scan(ruleset_a, STREAM)
             assert restarted.manager.stats.disk_hits >= 1
             assert restarted.manager.stats.disk_misses == 0

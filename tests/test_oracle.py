@@ -16,6 +16,7 @@ import random
 import pytest
 
 from oracle import NfaOracle, oracle_run
+from repro.api import ScanConfig
 from repro.automata.glushkov import compile_regex_set
 from repro.automata.striding import pad_input, stride2
 from repro.service import Dispatcher, MatchingService
@@ -132,7 +133,7 @@ class TestRandomRegexesAgainstOracle:
         _, nfa = random_ruleset(rng)
         data = regex_input(rng, rng.randint(1, 250))
         expected = oracle_run(nfa, data)
-        dispatcher = Dispatcher(nfa, num_shards=rng.randint(1, 3))
+        dispatcher = Dispatcher(nfa, ScanConfig(num_shards=rng.randint(1, 3)))
         result = dispatcher.scan(data, chunk_size=rng.randint(1, 64))
         assert full_keys(result.reports) == full_keys(expected.reports)
         assert result.stats.num_reports == expected.num_reports
@@ -143,7 +144,8 @@ class TestRandomRegexesAgainstOracle:
         _, nfa = random_ruleset(rng)
         data = regex_input(rng, rng.randint(1, 250))
         expected = oracle_run(nfa, data)
-        with MatchingService(num_shards=2, chunk_size=37) as service:
+        config = ScanConfig(num_shards=2, chunk_size=37)
+        with MatchingService(config) as service:
             result = service.scan(nfa, data)
         assert full_keys(result.reports) == full_keys(expected.reports)
 
@@ -229,7 +231,7 @@ class TestWorkloadsAgainstOracle:
         bench = get_benchmark(name, scale=TEST_SCALE)
         data = bench.input_stream(250)
         expected = oracle_run(bench.automaton, data)
-        result = Dispatcher(bench.automaton, num_shards=4).scan(
+        result = Dispatcher(bench.automaton, ScanConfig(num_shards=4)).scan(
             data, chunk_size=61
         )
         assert full_keys(result.reports) == full_keys(expected.reports)

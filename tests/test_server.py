@@ -54,7 +54,7 @@ def ruleset():
 @pytest.fixture(scope="module")
 def offline(ruleset):
     # the ground truth every server-side result must reproduce
-    service = MatchingService(num_shards=2)
+    service = MatchingService(ScanConfig(num_shards=2))
     result = service.scan(ruleset, STREAM)
     yield result
     service.close()
@@ -114,7 +114,7 @@ class TestEndToEnd:
 
     def test_scan_many_matches_offline(self, harness, ruleset):
         streams = {"a": STREAM[:100], "b": STREAM[100:300], "c": b""}
-        with MatchingService(num_shards=2) as service:
+        with MatchingService(ScanConfig(num_shards=2)) as service:
             expected = service.scan_many(ruleset, streams)
         with harness.client() as client:
             handle = client.register(RULES)
@@ -314,7 +314,7 @@ class TestReportCapPolicies:
     """max_kept_reports warn vs strict across the service and the wire."""
 
     def test_scan_many_default_cap_warns(self, ruleset):
-        with MatchingService(default_max_reports=3) as service:
+        with MatchingService(ScanConfig(max_reports=3)) as service:
             with pytest.warns(ReportTruncationWarning):
                 results = service.scan_many(
                     ruleset, {"a": STREAM, "b": STREAM[:4]}
@@ -328,14 +328,13 @@ class TestReportCapPolicies:
         assert not results["b"].truncated
 
     def test_scan_many_strict_raises(self, ruleset):
-        with MatchingService(
-            default_max_reports=3, on_truncation="error"
-        ) as service:
+        config = ScanConfig(max_reports=3, on_truncation="error")
+        with MatchingService(config) as service:
             with pytest.raises(SimulationError, match="kept-reports cap"):
                 service.scan_many(ruleset, {"a": STREAM})
 
     def test_scan_explicit_cap_is_silent(self, ruleset):
-        with MatchingService(on_truncation="error") as service:
+        with MatchingService(ScanConfig(on_truncation="error")) as service:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = service.scan(ruleset, STREAM, max_reports=2)

@@ -1,11 +1,13 @@
 """Tests for the streaming, sharded, multi-tenant service layer."""
 
 import gc
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.api import ScanConfig
 from repro.automata import balanced_shards, glushkov_nfa
 from repro.automata.glushkov import compile_regex_set
 from repro.core.compiler import compile_automaton
@@ -151,12 +153,6 @@ class TestRulesetManager:
         assert manager.engine(rules[0]) is not engines[0]
         assert manager.engine(rules[2]) is engines[2]
 
-    def test_machine_cache(self):
-        manager = RulesetManager()
-        nfa = glushkov_nfa("ab")
-        machine = manager.machine(nfa)
-        assert manager.machine(nfa) is machine
-
     def test_bad_capacity_rejected(self):
         with pytest.raises(Exception):
             RulesetManager(capacity=0)
@@ -188,7 +184,7 @@ class TestSharding:
     def test_sharded_scan_equals_monolithic(self, ruleset, stream):
         one_shot = Engine(ruleset).run(stream)
         for num_shards in (1, 2, 3):
-            dispatcher = Dispatcher(ruleset, num_shards=num_shards)
+            dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=num_shards))
             result = dispatcher.scan(stream, chunk_size=50)
             assert report_keys(result.reports) == report_keys(one_shot.reports)
             assert result.stats.num_reports == one_shot.stats.num_reports
@@ -199,7 +195,7 @@ class TestSharding:
 
     def test_sharded_scan_with_workers(self, ruleset, stream):
         one_shot = Engine(ruleset).run(stream)
-        dispatcher = Dispatcher(ruleset, num_shards=3, workers=2)
+        dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=3, workers=2))
         try:
             # the pool persists across scans; both must match one-shot
             for _ in range(2):
@@ -214,13 +210,13 @@ class TestSharding:
         bench = get_benchmark("Snort", scale=TEST_SCALE)
         data = bench.input_stream(STREAM_LENGTH)
         one_shot = Engine(bench.automaton).run(data)
-        result = Dispatcher(bench.automaton, num_shards=4).scan(
+        result = Dispatcher(bench.automaton, ScanConfig(num_shards=4)).scan(
             data, chunk_size=64
         )
         assert report_keys(result.reports) == report_keys(one_shot.reports)
 
     def test_run_chunk_state_mismatch_rejected(self, ruleset):
-        dispatcher = Dispatcher(ruleset, num_shards=2)
+        dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=2))
         with pytest.raises(SimulationError):
             dispatcher.run_chunk(b"ab", [EngineState()] * 5)
 
@@ -249,7 +245,7 @@ class TestMerge:
 
 class TestSessions:
     def test_interleaved_sessions_are_independent(self, ruleset, stream):
-        service = MatchingService(num_shards=2)
+        service = MatchingService(ScanConfig(num_shards=2))
         expected = Engine(ruleset).run(stream)
         a = service.open_session(ruleset, "a")
         b = service.open_session(ruleset, "b")
@@ -282,8 +278,6 @@ class TestSessions:
     def test_with_block_close_releases_the_session(self):
         # leaving the with block must do everything close_session does:
         # drop the session, and let a pending hot-swap retire its version
-        from repro.api import ScanConfig
-
         v1 = compile_regex_set({"r1": "(a|b)e*cd+", "r2": "abc"})
         with MatchingService(ScanConfig()) as service:
             record1 = service.register_ruleset(v1)
@@ -310,7 +304,6 @@ class TestSessions:
         import sys
         import threading
 
-        from repro.api import ScanConfig
         from repro.service.service import _SESSIONS_OPEN
 
         v1 = compile_regex_set({"r1": "(a|b)e*cd+", "r2": "abc"})
@@ -370,7 +363,7 @@ class TestSessions:
         # both components fire every cycle; the cap must apply to the
         # merged stream, not per shard
         nfa = compile_regex_set({"ra": "a", "rb": "b"}, name="two")
-        service = MatchingService(num_shards=2)
+        service = MatchingService(ScanConfig(num_shards=2))
         session = service.open_session(nfa, "cap", max_reports=2)
         session.feed(b"ababab")
         assert len(session.reports) == 2
@@ -379,7 +372,7 @@ class TestSessions:
 
 class TestMatchingService:
     def test_scan_marks_cache_state(self, ruleset, stream):
-        service = MatchingService(num_shards=2)
+        service = MatchingService(ScanConfig(num_shards=2))
         cold = service.scan(ruleset, stream)
         warm = service.scan(ruleset, stream)
         assert not cold.cached
@@ -389,7 +382,7 @@ class TestMatchingService:
         assert warm.throughput_mbps >= 0.0
 
     def test_scan_equals_engine_run(self, ruleset, stream):
-        service = MatchingService(num_shards=3, chunk_size=41)
+        service = MatchingService(ScanConfig(num_shards=3, chunk_size=41))
         expected = Engine(ruleset).run(stream)
         result = service.scan(ruleset, stream)
         assert report_keys(result.reports) == report_keys(expected.reports)
@@ -408,7 +401,7 @@ class TestMatchingService:
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ConfigError):
-            MatchingService(chunk_size=0)
+            MatchingService(ScanConfig(chunk_size=0))
 
 
 class TestTeardown:
@@ -417,7 +410,7 @@ class TestTeardown:
 
     def test_close_after_failing_chunk_releases_everything(self, ruleset):
         """A chunk that raises mid-stream must not leak the worker pool."""
-        service = MatchingService(num_shards=3, workers=2)
+        service = MatchingService(ScanConfig(num_shards=3, workers=2))
         stream = b"aecdabcxxy" * 20
         service.scan(ruleset, stream)  # builds the multiprocessing pool
         dispatcher = service.dispatcher(ruleset)
@@ -437,7 +430,7 @@ class TestTeardown:
         assert service.sessions == {}
 
     def test_close_is_idempotent(self, ruleset):
-        service = MatchingService(num_shards=2, workers=2)
+        service = MatchingService(ScanConfig(num_shards=2, workers=2))
         service.scan(ruleset, b"aecd" * 50)
         service.close()
         service.close()
@@ -452,42 +445,77 @@ class TestTeardown:
             service.open_session(ruleset, "late")
 
     def test_service_context_manager(self, ruleset):
-        with MatchingService(num_shards=2) as service:
+        with MatchingService(ScanConfig(num_shards=2)) as service:
             result = service.scan(ruleset, b"aecdabc")
             assert result.num_reports > 0
         assert service.closed
 
     def test_dispatcher_context_manager_closes_pool(self, ruleset):
-        with Dispatcher(ruleset, num_shards=3, workers=2) as dispatcher:
+        config = ScanConfig(num_shards=3, workers=2)
+        with Dispatcher(ruleset, config) as dispatcher:
             dispatcher.scan(b"aecdabcxxy" * 10, chunk_size=16)
             assert dispatcher._pool is not None
         assert dispatcher._pool is None
         dispatcher.close()  # idempotent
 
-    def test_evicted_dispatcher_with_pool_retires_until_service_close(self):
-        # terminating an evicted dispatcher's pool immediately could kill
-        # another thread's in-flight scan; it must retire instead and be
-        # released by service.close()
+    def test_evicted_dispatcher_with_pool_closes_once_idle(self):
+        # an evicted dispatcher with no scan in flight releases its pool
+        # at once instead of holding it until the service closes
         rules_a = compile_regex_set({"a1": "ab", "a2": "cd"}, name="a")
         rules_b = compile_regex_set({"b1": "ef", "b2": "gh"}, name="b")
-        service = MatchingService(cache_capacity=1, num_shards=2, workers=2)
+        service = MatchingService(
+            ScanConfig(cache_capacity=1, num_shards=2, workers=2)
+        )
         service.scan(rules_a, b"abcd" * 30)
         first = service.dispatcher(rules_a)
         assert first._pool is not None
         service.scan(rules_b, b"efgh" * 30)  # evicts rules_a's dispatcher
-        assert first in service._retired
-        assert first._pool is not None  # still usable by in-flight scans
-        service.close()
         assert first._pool is None
-        assert service._retired == []
+        service.close()
+
+    def test_retired_dispatcher_keeps_its_pool_for_an_inflight_scan(
+        self, ruleset
+    ):
+        # terminating the pool mid-scan would kill another thread's
+        # work: the last in-flight scan closes it instead
+        dispatcher = Dispatcher(ruleset, ScanConfig(num_shards=2, workers=2))
+        pool = dispatcher._acquire_pool()  # a pool scan starts
+        dispatcher.retire()
+        assert dispatcher._pool is pool
+        dispatcher._release_pool()  # ... and finishes
+        assert dispatcher._pool is None
+        # a scan that starts after retirement still works, then closes
+        expected = Engine(ruleset).run(b"aecdabcxxy" * 10)
+        result = dispatcher.scan(b"aecdabcxxy" * 10, chunk_size=16)
+        assert report_keys(result.reports) == report_keys(expected.reports)
+        assert dispatcher._pool is None
+
+    def test_evicting_scans_leave_at_most_workers_live(self):
+        # a long-lived service that churns rulesets must not accumulate
+        # the worker pools of evicted dispatchers
+        before = set(multiprocessing.active_children())
+        with MatchingService(
+            ScanConfig(cache_capacity=1, num_shards=2, workers=2)
+        ) as service:
+            for i in range(6):
+                first, second = chr(ord("a") + 2 * i), chr(ord("b") + 2 * i)
+                rules = compile_regex_set(
+                    {"x": first + "+z", "y": second + "+z"}, name=f"churn{i}"
+                )
+                data = (first + "z" + second + "z").encode() * 20
+                assert service.scan(rules, data).num_reports == 40
+            live = set(multiprocessing.active_children()) - before
+            assert len(live) <= 2
 
     def test_evicted_dispatcher_without_pool_closes_immediately(self):
         rules_a = compile_regex_set({"a1": "ab"}, name="a")
         rules_b = compile_regex_set({"b1": "ef"}, name="b")
-        service = MatchingService(cache_capacity=1)
+        service = MatchingService(ScanConfig(cache_capacity=1))
         service.scan(rules_a, b"abab")
+        first = service.dispatcher(rules_a)
         service.scan(rules_b, b"efef")  # evicts the (serial) dispatcher
-        assert service._retired == []
+        assert first._pool is None
+        assert service.scan(rules_a, b"abab").num_reports == 2
         service.close()
 
 
