@@ -171,7 +171,9 @@ def _match_probabilities(automaton) -> np.ndarray:
     return probs
 
 
-def estimate_active_fraction(automaton, *, iterations: int = 12) -> float:
+def estimate_active_fraction(
+    automaton, *, iterations: int = 12, csr=None
+) -> float:
     """Expected steady-state fraction of active states under random input.
 
     Fixed-point iteration on per-state activation probabilities,
@@ -182,7 +184,11 @@ def estimate_active_fraction(automaton, *, iterations: int = 12) -> float:
     ``auto`` execution-backend policy — it decides sparse-vs-bit-
     parallel crossover, so a rough estimate is enough; the benchmark
     harness measures the real fraction when precision matters.
+    ``csr`` is the automaton's successor CSR when the caller already
+    holds it (prebuilt kernel tables); otherwise the shared cache's.
     """
+    from repro.sim.backends.base import cached_successor_csr
+
     n = len(automaton)
     if n == 0:
         return 0.0
@@ -191,12 +197,9 @@ def estimate_active_fraction(automaton, *, iterations: int = 12) -> float:
     for state in automaton.states:
         if state.start is StartKind.ALL_INPUT:
             start_all[state.ste_id] = True
-    edges = list(automaton.transitions())
-    if edges:
-        src = np.fromiter((u for u, _ in edges), dtype=np.int64)
-        dst = np.fromiter((v for _, v in edges), dtype=np.int64)
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
+    # the CSR lists edges in transitions() order
+    offsets, dst = csr if csr is not None else cached_successor_csr(automaton)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     p = start_all * match_p
     for _ in range(iterations):
         # P(no predecessor active) via a log-space scatter-product

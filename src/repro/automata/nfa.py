@@ -16,8 +16,27 @@ import hashlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.automata.symbols import SymbolClass
 from repro.errors import AutomatonError
+
+
+def edge_array(successors: list[set[int]]) -> np.ndarray:
+    """All transitions as an ``(E, 2)`` little-endian int64 array.
+
+    Rows are ``(src, dst)`` in :meth:`Automaton.transitions` order
+    (sources ascending, successors sorted), so ``tobytes()`` is exactly
+    the concatenation of every edge's two 8-byte little-endian ids.
+    """
+    flat = [v for succ in successors for v in sorted(succ)]
+    edges = np.empty((len(flat), 2), dtype="<i8")
+    edges[:, 0] = np.repeat(
+        np.arange(len(successors), dtype=np.int64),
+        [len(succ) for succ in successors],
+    )
+    edges[:, 1] = flat
+    return edges
 
 
 def edges_digest(
@@ -33,10 +52,7 @@ def edges_digest(
     h = hashlib.sha256()
     h.update(salt)
     h.update(num_states.to_bytes(8, "little"))
-    for u, succ in enumerate(successors):
-        for v in sorted(succ):
-            h.update(u.to_bytes(8, "little"))
-            h.update(v.to_bytes(8, "little"))
+    h.update(edge_array(successors).tobytes())
     return h.hexdigest()
 
 
@@ -164,6 +180,10 @@ class Automaton:
         for u, succ in enumerate(self._successors):
             for v in sorted(succ):
                 yield u, v
+
+    def transition_array(self) -> np.ndarray:
+        """All transitions as an ``(E, 2)`` array (see :func:`edge_array`)."""
+        return edge_array(self._successors)
 
     def num_transitions(self) -> int:
         return sum(len(s) for s in self._successors)

@@ -28,6 +28,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
+import zipfile
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,7 +89,7 @@ class CompiledArtifact:
     """
 
     manifest: dict
-    arrays: dict[str, np.ndarray]
+    arrays: MutableMapping[str, np.ndarray]
     _automaton: Automaton | None = field(default=None, repr=False)
 
     # -- identity ---------------------------------------------------------
@@ -286,31 +289,28 @@ class CompiledArtifact:
         n = meta["num_states"]
         codes = meta.get("report_codes") or [None] * n
         names = meta.get("state_names") or [None] * n
-        start = self.arrays["state_start"]
-        reporting = self.arrays["state_reporting"]
+        start = self.arrays["state_start"].tolist()
+        reporting = self.arrays["state_reporting"].tolist()
         mask_bytes = (
             self.arrays["state_class_words"].astype("<u8", copy=False).tobytes()
         )
+        rows = [row for (row,) in struct.iter_unpack("32s", mask_bytes)]
+        # states share few distinct classes, and a SymbolClass is immutable
+        classes = {
+            row: SymbolClass(int.from_bytes(row, "little")) for row in set(rows)
+        }
         states = [
-            STE(
-                ste_id=i,
-                symbol_class=SymbolClass(
-                    int.from_bytes(mask_bytes[32 * i : 32 * i + 32], "little")
-                ),
-                start=_START_KINDS[int(start[i])],
-                reporting=bool(reporting[i]),
-                report_code=codes[i],
-                name=names[i],
+            STE(i, classes[row], _START_KINDS[kind], accepts, code, name)
+            for i, (row, kind, accepts, code, name) in enumerate(
+                zip(rows, start, reporting, codes, names)
             )
-            for i in range(n)
         ]
-        offsets = self.arrays["succ_offsets"]
+        offsets = self.arrays["succ_offsets"].tolist()
         targets = self.arrays["succ_targets"].tolist()
         automaton = Automaton(name=meta["name"])
         automaton.states = states
         automaton._successors = [
-            set(targets[int(offsets[i]) : int(offsets[i + 1])])
-            for i in range(n)
+            set(targets[offsets[i] : offsets[i + 1]]) for i in range(n)
         ]
         self._automaton = automaton
         return automaton
@@ -612,21 +612,26 @@ class CompiledArtifact:
         path = Path(path)
         if not path.exists():
             raise ArtifactError(f"no such artifact: {path}")
-        with open(path, "rb") as fh:
-            return cls._read(fh, what=str(path))
+        return cls._read(io.BytesIO(path.read_bytes()), what=str(path))
 
     @classmethod
     def _read(cls, fh, *, what: str) -> "CompiledArtifact":
+        """Read every member (zip CRC-checked), but parse only the
+        manifest and the arrays :meth:`engine` needs; the program arrays
+        parse on first access."""
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                if "manifest" not in npz.files:
-                    raise ArtifactError(f"{what}: not a compiled artifact")
-                manifest = json.loads(str(npz["manifest"]))
-                arrays = {
-                    name: npz[name]
-                    for name in npz.files
-                    if name != "manifest"
+            with zipfile.ZipFile(fh) as archive:
+                members = {
+                    info.filename.removesuffix(".npy"): archive.read(info)
+                    for info in archive.infolist()
                 }
+            if "manifest" not in members:
+                raise ArtifactError(f"{what}: not a compiled artifact")
+            arrays = _ArtifactArrays(members, what)
+            manifest = json.loads(str(arrays.pop("manifest")))
+            for name in _REQUIRED_ARRAYS:
+                if name in arrays:
+                    arrays[name]  # parse now: engine() needs every one
         except ArtifactError:
             raise
         except Exception as exc:  # zip/format/JSON corruption
@@ -636,3 +641,40 @@ class CompiledArtifact:
         if not isinstance(manifest, dict):
             raise ArtifactError(f"{what}: artifact manifest is not an object")
         return cls(manifest=manifest, arrays=arrays).validate()
+
+
+class _ArtifactArrays(MutableMapping):
+    """Array name -> array; each ``.npy`` member parses on first access."""
+
+    def __init__(self, members: dict[str, bytes], what: str) -> None:
+        self._members: dict[str, bytes | np.ndarray] = members
+        self._what = what
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        value = self._members[name]
+        if isinstance(value, bytes):
+            try:
+                value = np.lib.format.read_array(
+                    io.BytesIO(value), allow_pickle=False
+                )
+            except Exception as exc:
+                raise ArtifactError(
+                    f"{self._what}: corrupt artifact member {name!r} ({exc})"
+                ) from exc
+            self._members[name] = value
+        return value
+
+    def __setitem__(self, name: str, array: np.ndarray) -> None:
+        self._members[name] = array
+
+    def __delitem__(self, name: str) -> None:
+        del self._members[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._members
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)

@@ -37,23 +37,27 @@ def ruleset_fingerprint(
     """
     h = hashlib.sha256()
     h.update(len(automaton).to_bytes(8, "little"))
-    for ste in automaton.states:
-        h.update(ste.symbol_class.mask.to_bytes(32, "little"))
-        # variable-length fields are length-prefixed so shifted record
-        # boundaries cannot make different rulesets serialize alike
-        start = ste.start.value.encode()
-        h.update(len(start).to_bytes(1, "little"))
-        h.update(start)
-        h.update(b"\x01" if ste.reporting else b"\x00")
-        code = (ste.report_code or "").encode()
-        h.update(len(code).to_bytes(4, "little"))
-        h.update(code)
-    for u, v in automaton.transitions():
-        h.update(u.to_bytes(8, "little"))
-        h.update(v.to_bytes(8, "little"))
+    h.update(b"".join(map(_state_record, automaton.states)))
+    h.update(automaton.transition_array().tobytes())
     if options is not None:
         _mix_options(h, options)
     return h.hexdigest()
+
+
+def _state_record(ste) -> bytes:
+    """One state's language-relevant fields, as hashed by the fingerprints."""
+    # variable-length fields are length-prefixed so shifted record
+    # boundaries cannot make different rulesets serialize alike
+    start = ste.start.value.encode()
+    code = (ste.report_code or "").encode()
+    return b"".join((
+        ste.symbol_class.mask.to_bytes(32, "little"),
+        len(start).to_bytes(1, "little"),
+        start,
+        b"\x01" if ste.reporting else b"\x00",
+        len(code).to_bytes(4, "little"),
+        code,
+    ))
 
 
 def _mix_options(h: "hashlib._Hash", options: PipelineOptions) -> None:
@@ -87,16 +91,7 @@ def component_fingerprint(
     remap = {old: new for new, old in enumerate(keep)}
     h = hashlib.sha256()
     h.update(len(keep).to_bytes(8, "little"))
-    for old in keep:
-        ste = automaton.states[old]
-        h.update(ste.symbol_class.mask.to_bytes(32, "little"))
-        start = ste.start.value.encode()
-        h.update(len(start).to_bytes(1, "little"))
-        h.update(start)
-        h.update(b"\x01" if ste.reporting else b"\x00")
-        code = (ste.report_code or "").encode()
-        h.update(len(code).to_bytes(4, "little"))
-        h.update(code)
+    h.update(b"".join(_state_record(automaton.states[old]) for old in keep))
     # subautomaton's transitions() iterates sources in local-id order
     # with sorted successors; the remap is monotonic, so sorting by old
     # id reproduces that exact byte order.

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.automata.symbols import SymbolClass
 from repro.errors import EncodingError
-from repro.utils.bitvec import popcount
+from repro.utils.bitvec import bit_positions, popcount
 
 
 def cam_match(stored: int, input_code: int) -> bool:
@@ -65,8 +65,13 @@ class Encoding(ABC):
 
     # -- shared machinery -------------------------------------------------
     @cached_property
-    def _alphabet_array(self) -> np.ndarray:
-        return np.fromiter(self.alphabet, dtype=np.int64)
+    def _bit_members(self) -> list[int]:
+        """``members[i]``: symbol mask of the codes with bit ``i`` set."""
+        members = [0] * self.code_length
+        for symbol in self.alphabet:
+            for i in bit_positions(self.symbol_code(symbol)):
+                members[i] |= 1 << symbol
+        return members
 
     @cached_property
     def _code_array(self) -> np.ndarray:
@@ -89,13 +94,17 @@ class Encoding(ABC):
         return int(self._code_array[symbol])
 
     def match_set(self, stored: int) -> SymbolClass:
-        """All alphabet symbols whose codes match a stored entry."""
-        symbols = self._alphabet_array
-        codes = self._code_array[symbols]
-        # match rule: stored & ~code == 0, with ~code taken within L bits
-        full = np.uint64((1 << self.code_length) - 1)
-        hits = (np.uint64(stored) & (codes ^ full)) == 0
-        return SymbolClass.from_symbols(int(s) for s in symbols[hits])
+        """All alphabet symbols whose codes match a stored entry.
+
+        The match rule ``stored & ~code == 0`` (``~`` within the code
+        length) says every stored '1' needs a code '1', so the match set
+        is the alphabet intersected with the members of each stored bit.
+        """
+        mask = self.alphabet.mask
+        members = self._bit_members
+        for i in bit_positions(stored & ((1 << self.code_length) - 1)):
+            mask &= members[i]
+        return SymbolClass(mask)
 
     @cached_property
     def weight(self) -> int:

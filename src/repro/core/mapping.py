@@ -194,9 +194,31 @@ class CamaMapping:
         )
 
 
+def _boundary_signals(
+    chunk: list[int],
+    successors: list[list[int]],
+    predecessors: list[list[int]],
+) -> tuple[int, int]:
+    """(in, out) global-switch signals of a chunk: its states with a
+    predecessor / successor outside the chunk."""
+    chunk_set = set(chunk)
+    inp = sum(
+        1
+        for v in chunk_set
+        if any(u not in chunk_set for u in predecessors[v])
+    )
+    out = sum(
+        1
+        for u in chunk_set
+        if any(v not in chunk_set for v in successors[u])
+    )
+    return inp, out
+
+
 def _chunk_component(
     order: list[int],
-    automaton: Automaton,
+    successors: list[list[int]],
+    predecessors: list[list[int]],
     entries_of: np.ndarray,
     max_states: int,
     max_entries: int,
@@ -232,16 +254,8 @@ def _chunk_component(
             # shrink until the boundary signal counts fit the port budget
             best = end
             while end > start + 1:
-                chunk_set = set(order[start:end])
-                out = sum(
-                    1
-                    for u in chunk_set
-                    if any(v not in chunk_set for v in automaton.successors(u))
-                )
-                inp = sum(
-                    1
-                    for v in chunk_set
-                    if any(u not in chunk_set for u in automaton.predecessors(v))
+                inp, out = _boundary_signals(
+                    order[start:end], successors, predecessors
                 )
                 if out <= GLOBAL_PORTS and inp <= GLOBAL_PORTS:
                     break
@@ -272,47 +286,41 @@ def map_automaton(
             f"code length {encoding.code_length} exceeds the 32-bit mode"
         )
 
+    # one pass over the transitions builds both adjacency directions
+    edges = automaton.transition_array()
+    src, dst = edges[:, 0], edges[:, 1]
+    successors: list[list[int]] = [[] for _ in range(n)]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        successors[u].append(v)
+        predecessors[v].append(u)
+
     components = connected_components(automaton)
+    orders = [bfs_order(automaton, component) for component in components]
+    # band check for every component in one sweep: transitions never
+    # cross components, so each edge belongs to its source's component
+    position = np.zeros(n, dtype=np.int64)
+    component_of = np.zeros(n, dtype=np.int64)
+    for index, order in enumerate(orders):
+        position[order] = np.arange(len(order))
+        component_of[order] = index
+    band_ok = np.ones(len(orders), dtype=bool)
+    band_ok[component_of[src[np.abs(position[src] - position[dst]) > kdia]]] = False
+
     rcb_chunks: list[list[int]] = []
     fcb_chunks: list[list[int]] = []
     oversubscribed = 0
-    for component in components:
-        order = bfs_order(automaton, component)
-        position = {s: i for i, s in enumerate(order)}
-        band_ok = all(
-            abs(position[u] - position[v]) <= kdia
-            for u, v in automaton.transitions()
-            if u in position and v in position
+    for order, ok in zip(orders, band_ok.tolist()):
+        rcb = ok and not mode32
+        positions = RCB_POSITIONS if rcb else FCB_POSITIONS
+        chunks, over = _chunk_component(
+            order, successors, predecessors, entries_of, positions, positions
         )
-        if mode32 or not band_ok:
-            chunks, over = _chunk_component(
-                order, automaton, entries_of, FCB_POSITIONS, FCB_POSITIONS
-            )
-            fcb_chunks.extend(chunks)
-        else:
-            chunks, over = _chunk_component(
-                order, automaton, entries_of, RCB_POSITIONS, RCB_POSITIONS
-            )
-            rcb_chunks.extend(chunks)
+        (rcb_chunks if rcb else fcb_chunks).extend(chunks)
         oversubscribed += over
 
-    switches: list[SwitchPlan] = []
     state_switch = np.full(n, -1, dtype=np.int64)
     state_position = np.full(n, -1, dtype=np.int64)
-
-    def chunk_signals(chunk: list[int]) -> tuple[int, int]:
-        chunk_set = set(chunk)
-        out = sum(
-            1
-            for u in chunk_set
-            if any(v not in chunk_set for v in automaton.successors(u))
-        )
-        inp = sum(
-            1
-            for v in chunk_set
-            if any(u not in chunk_set for u in automaton.predecessors(v))
-        )
-        return inp, out
 
     def pack(chunks: list[list[int]], mode: str) -> list[SwitchPlan]:
         capacity_states = RCB_POSITIONS if mode == "rcb" else FCB_POSITIONS
@@ -321,7 +329,7 @@ def map_automaton(
         # first-fit decreasing by state count
         for chunk in sorted(chunks, key=len, reverse=True):
             chunk_entries = int(entries_of[chunk].sum())
-            inp, out = chunk_signals(chunk)
+            inp, out = _boundary_signals(chunk, successors, predecessors)
             target = None
             for plan in plans:
                 if plan.fits(len(chunk), chunk_entries, inp, out):
@@ -383,18 +391,14 @@ def map_automaton(
             )
         )
 
-    cross_edges = [
-        (u, v)
-        for u, v in automaton.transitions()
-        if state_switch[u] != state_switch[v]
-    ]
-    arrays_used = {
-        int(state_switch[u]) // (SWITCHES_PER_TILE * TILES_PER_ARRAY)
-        for u, v in cross_edges
-    } | {
-        int(state_switch[v]) // (SWITCHES_PER_TILE * TILES_PER_ARRAY)
-        for u, v in cross_edges
-    }
+    crossing = state_switch[src] != state_switch[dst]
+    cross_edges = [tuple(edge) for edge in edges[crossing].tolist()]
+    arrays_used = set(
+        (
+            state_switch[np.concatenate((src[crossing], dst[crossing]))]
+            // (SWITCHES_PER_TILE * TILES_PER_ARRAY)
+        ).tolist()
+    )
 
     return CamaMapping(
         automaton_name=automaton.name,

@@ -89,6 +89,7 @@ def choose_backend_name(
     automaton,
     *,
     active_fraction: float | None = None,
+    tables: KernelTables | None = None,
 ) -> str:
     """Resolve the ``auto`` policy to the kernel family ``"sparse"`` or
     ``"bitparallel"``.
@@ -98,13 +99,19 @@ def choose_backend_name(
     fraction — :func:`~repro.automata.analysis.estimate_active_fraction`,
     or ``active_fraction`` measured by a probe run — reaches
     :data:`DENSE_ACTIVITY_THRESHOLD`.  :func:`build_kernel` runs the
-    packed family through the compiled loop whenever it loads.
+    packed family through the compiled loop whenever it loads.  Prebuilt
+    ``tables`` lend the estimate their successor CSR.
     """
     if len(automaton) > MAX_BITPARALLEL_STATES:
         choice = "sparse"
     else:
         if active_fraction is None:
-            active_fraction = estimate_active_fraction(automaton)
+            csr = (
+                None
+                if tables is None
+                else (tables.succ_offsets, tables.succ_targets)
+            )
+            active_fraction = estimate_active_fraction(automaton, csr=csr)
         choice = (
             "bitparallel"
             if active_fraction >= DENSE_ACTIVITY_THRESHOLD
@@ -171,7 +178,7 @@ def build_kernel(
     An instance without ``from_tables`` compiles from the automaton.
     """
     if backend == "auto":
-        backend = choose_backend_name(automaton)
+        backend = choose_backend_name(automaton, tables=tables)
         if backend == "bitparallel" and native_available():
             backend = "native"
     backend = get_backend(backend)

@@ -400,11 +400,15 @@ def match_table(automaton) -> np.ndarray:
     sparse kernel indexes it directly and the bit-parallel kernel packs
     its rows into uint64 words.
     """
-    table = np.zeros((256, len(automaton)), dtype=bool)
-    for ste in automaton.states:
-        for symbol in ste.symbol_class:
-            table[symbol, ste.ste_id] = True
-    return table
+    masks = b"".join(
+        ste.symbol_class.mask.to_bytes(32, "little") for ste in automaton.states
+    )
+    bits = np.unpackbits(
+        np.frombuffer(masks, dtype=np.uint8).reshape(-1, 32),
+        axis=1,
+        bitorder="little",
+    )
+    return np.ascontiguousarray(bits.T, dtype=bool)
 
 
 @dataclass
@@ -441,9 +445,7 @@ class KernelTables:
         offsets, targets = cached_successor_csr(automaton)
         start_all, start_sod = start_ids(automaton)
         return cls(
-            match_words=np.stack(
-                [bitwords.pack_bool(row) for row in match_table(automaton)]
-            ),
+            match_words=bitwords.pack_bool_rows(match_table(automaton)),
             succ_offsets=offsets,
             succ_targets=targets,
             start_all=start_all,
@@ -482,8 +484,7 @@ class KernelTables:
         if len(tables) == 1:
             return tables[0]
         n = sum(sizes)
-        words = bitwords.num_words(n)
-        match_bool = np.zeros((256, words * 64), dtype=np.uint8)
+        match_bool = np.zeros((256, n), dtype=bool)
         offsets = np.zeros(n + 1, dtype=np.int64)
         targets_parts: list[np.ndarray] = []
         start_all_parts: list[np.ndarray] = []
@@ -504,9 +505,7 @@ class KernelTables:
             nnz += int(block.succ_offsets[-1])
             pos += size
         return cls(
-            match_words=np.packbits(
-                match_bool, axis=1, bitorder="little"
-            ).view(np.uint64),
+            match_words=bitwords.pack_bool_rows(match_bool),
             succ_offsets=offsets,
             succ_targets=(
                 np.concatenate(targets_parts)

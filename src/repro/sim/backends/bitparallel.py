@@ -79,9 +79,7 @@ class BitParallelKernel(CompiledKernel):
         self._num_words = bitwords.num_words(n)
         if tables is None:
             # match_words[symbol] is the packed vector of states accepting it
-            self._match_words = np.stack(
-                [bitwords.pack_bool(row) for row in match_table(automaton)]
-            )
+            self._match_words = bitwords.pack_bool_rows(match_table(automaton))
             self._succ_offsets, self._succ_targets = cached_successor_csr(
                 automaton
             )

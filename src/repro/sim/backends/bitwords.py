@@ -46,6 +46,14 @@ def pack_bool(mask: np.ndarray) -> np.ndarray:
     return np.packbits(padded, bitorder="little").view(np.uint64)
 
 
+def pack_bool_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`pack_bool` of a 2-D boolean matrix, in one call."""
+    rows, n = matrix.shape
+    padded = np.zeros((rows, num_words(n) * WORD_BITS), dtype=np.uint8)
+    padded[:, :n] = matrix
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
 def unpack_indices(words: np.ndarray) -> np.ndarray:
     """Ascending indices of the set bits of a packed vector."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")

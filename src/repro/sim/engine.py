@@ -437,8 +437,8 @@ class StridedEngine:
             # only the packed form is kept; the dense bool tables are
             # construction scaffolding here (2 x 256 x n bytes saved)
             self._hi_table = self._lo_table = None
-            self._hi_words = np.stack([bitwords.pack_bool(row) for row in hi])
-            self._lo_words = np.stack([bitwords.pack_bool(row) for row in lo])
+            self._hi_words = bitwords.pack_bool_rows(hi)
+            self._lo_words = bitwords.pack_bool_rows(lo)
             self._succ_rows = bitwords.successor_rows(
                 self._succ_offsets, self._succ_targets, n
             )

@@ -212,3 +212,46 @@ def test_eq1_is_minimal(alphabet_size):
     assert comb(length, length // 2) >= alphabet_size
     if length > 1:
         assert comb(length - 1, (length - 1) // 2) < alphabet_size
+
+
+def _encoding_of(scheme: str, alphabet: SymbolClass):
+    from repro.core.encoding.clustering import identity_clusters
+
+    size = len(alphabet)
+    if scheme == "one-zero":
+        return OneZeroEncoding(alphabet)
+    if scheme == "multi-zeros":
+        return MultiZerosEncoding(alphabet)
+    if scheme == "two-zeros-prefix":
+        ls, lp = two_zeros_prefix_params(size, 1.0)
+        zeros = 2
+    else:
+        ls, lp = one_zero_prefix_params(size)
+        zeros = 1
+    return build_prefix_encoding(identity_clusters(alphabet, ls), ls, lp, zeros)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(
+        ["one-zero", "multi-zeros", "two-zeros-prefix", "one-zero-prefix"]
+    ),
+    st.sets(st.integers(0, 255), min_size=4, max_size=64),
+    st.data(),
+)
+def test_match_set_equals_brute_force(scheme, symbols, data):
+    """``match_set(stored)`` is exactly the alphabet symbols whose code
+    has a '1' wherever ``stored`` has one, for any AND of member codes."""
+    alphabet = SymbolClass.from_symbols(symbols)
+    encoding = _encoding_of(scheme, alphabet)
+    members = data.draw(
+        st.lists(st.sampled_from(sorted(symbols)), min_size=1, max_size=6)
+    )
+    stored = encoding.symbol_code(members[0])
+    for symbol in members[1:]:
+        stored &= encoding.symbol_code(symbol)
+    expected = {
+        s for s in alphabet if stored & ~encoding.symbol_code(s) == 0
+    }
+    assert set(encoding.match_set(stored)) == expected
+    assert set(members) <= expected

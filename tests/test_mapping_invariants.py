@@ -110,3 +110,58 @@ class TestPlacementInvariants:
         _, program = compiled
         has_mode32 = any(t.mode == "mode32" for t in program.mapping.tiles)
         assert has_mode32 == (program.code_length > 16)
+
+
+def _banded_chain(seed: int = 0, n: int = 900, extra: int = 300, span: int = 60):
+    """One large component with long forward edges: it maps to FCB
+    chunks whose boundaries carry hundreds of global-switch signals."""
+    import random
+
+    from repro.automata.nfa import Automaton, StartKind
+
+    rng = random.Random(seed)
+    automaton = Automaton(name="banded-chain")
+    for i in range(n):
+        automaton.add_state(
+            chr(97 + rng.randrange(26)),
+            start=StartKind.ALL_INPUT if i == 0 else StartKind.NONE,
+            reporting=i % 50 == 49,
+        )
+    for i in range(1, n):
+        automaton.add_transition(i - 1, i)
+    for _ in range(extra):
+        u = rng.randrange(n)
+        automaton.add_transition(u, min(n - 1, u + rng.randrange(1, span)))
+    return automaton
+
+
+@pytest.mark.parametrize(
+    "name", ["ClamAV", "Snort", "SPM", "RandomForest", "banded-chain"]
+)
+def test_switch_signals_match_naive_recount(name):
+    """Each switch's global in/out signal counts equal a recount from
+    the automaton's own successor and predecessor sets."""
+    from repro.core.compiler import compile_automaton
+
+    if name == "banded-chain":
+        automaton = _banded_chain()
+    else:
+        automaton = get_benchmark(name, scale=1.0 / 32.0).automaton
+    mapping = compile_automaton(automaton).mapping
+    total = 0
+    for switch in mapping.switches:
+        placed = set(switch.states)
+        inp = sum(
+            1
+            for v in placed
+            if any(u not in placed for u in automaton.predecessors(v))
+        )
+        out = sum(
+            1
+            for u in placed
+            if any(v not in placed for v in automaton.successors(u))
+        )
+        assert (switch.in_signals, switch.out_signals) == (inp, out)
+        total += inp
+    if name in ("RandomForest", "banded-chain"):
+        assert total > 0  # the recount is exercised, not vacuous
